@@ -32,8 +32,6 @@
 namespace glaf {
 
 class ThreadPool;
-class DepProfiler;
-struct DepProfile;
 
 namespace interp {
 class PlanExecutor;
@@ -93,17 +91,6 @@ struct NativeReport {
   /// The profit-gate threshold installed into the kernel (work units;
   /// 0 = gating off).
   std::int64_t gate_min_units = 0;
-  /// Profile-guided speculation (policy v4; analysis/speculate.hpp).
-  /// Unlike the fields above, these are filled under *any* engine when a
-  /// dependence profile is attached: steps the planner promoted, steps
-  /// the runtime demoted back to serial after a misspeculation, calls
-  /// the kNative dispatcher routed to the plan VM because the function
-  /// contains a speculative step (counted here, not as fallback_calls),
-  /// and whether the attached profile was rejected (hash mismatch).
-  std::uint64_t spec_promoted_steps = 0;
-  std::uint64_t spec_demoted_steps = 0;
-  std::uint64_t spec_plan_calls = 0;
-  bool spec_profile_rejected = false;
   int num_threads = 1;          ///< pool width behind parallel kernels
   bool cache_hit = false;       ///< compilation skipped (kernel cache)
   std::string object_path;      ///< published cache entry ("" if none)
@@ -125,7 +112,10 @@ struct InterpOptions {
   /// Execution engine; plans are the default, the tree-walk remains as the
   /// semantic reference (the fuzz oracle cross-checks them).
   ExecEngine engine = ExecEngine::kPlan;
-  bool parallel = false;              ///< run directive-kept steps in parallel
+  /// Run directive-kept steps in parallel on kPlan and kNative. The
+  /// tree-walk is the serial reference: under kTreeWalk every step runs
+  /// serially whatever this flag says.
+  bool parallel = false;
   int num_threads = 4;
   DirectivePolicy policy = DirectivePolicy::kV0;
   /// Manual tweaks forwarded to the analysis (ioff_search critical etc.).
@@ -144,7 +134,7 @@ struct InterpOptions {
   /// constraint); everything else runs serially. Results are then
   /// bit-identical to a serial run at any thread count — the contract
   /// the parallel native engine provides by construction, surfaced here
-  /// so plan/tree-walk legs can be held to exact equality too.
+  /// so parallel plan legs can be held to exact equality too.
   bool deterministic_parallel = false;
   /// kNative: compiler command ("" resolves $GLAF_CC, then "cc") and
   /// kernel-cache directory ("" resolves $GLAF_KERNEL_CACHE / XDG).
@@ -166,17 +156,6 @@ struct InterpOptions {
   /// kNative opt tier: compile a portable object (generic -O3, no
   /// -march=native). Also forced by $GLAF_NATIVE_PORTABLE.
   bool native_portable = false;
-  /// Memory-profiling mode (LAMP analog, analysis/speculate.hpp): run
-  /// serially on the plan VM and record observed cross-iteration
-  /// read/write conflicts per (function, step) into a DepProfile
-  /// (Machine::dep_profile()). Forces engine = kPlan and parallel = off.
-  bool profile_deps = false;
-  /// A dependence profile recorded by a profile_deps run. Under policy
-  /// v4, profile-clean "complex" steps are promoted to speculative
-  /// parallel execution with runtime band validation; a profile whose
-  /// program hash does not match is ignored and reported through
-  /// NativeReport::spec_profile_rejected.
-  std::shared_ptr<const DepProfile> dep_profile;
 };
 
 /// One trace record: a step that executed.
@@ -194,12 +173,6 @@ struct InterpStats {
   std::uint64_t local_allocations = 0;  ///< local-array materializations
   std::uint64_t parallel_regions = 0;
   std::uint64_t function_calls = 0;
-  /// Policy v4: speculative parallel executions dispatched, post-join
-  /// validations performed, and misspeculations (validation conflicts →
-  /// scratch discarded, step re-run serially).
-  std::uint64_t spec_regions = 0;
-  std::uint64_t spec_validations = 0;
-  std::uint64_t spec_misspeculations = 0;
 };
 
 /// A host-side call argument: a literal scalar, or the name of a Global
@@ -244,15 +217,10 @@ class Machine {
 
   /// Native-engine status: whether the kernel loaded, the fallback
   /// reason when it did not, and per-call dispatch counters. Meaningful
-  /// only under ExecEngine::kNative — except the spec_* speculation
-  /// counters, which any engine fills under policy v4.
+  /// only under ExecEngine::kNative.
   [[nodiscard]] const NativeReport& native_report() const {
     return native_report_;
   }
-
-  /// The dependence profile recorded so far (profile_deps runs only;
-  /// empty otherwise). Stamped with this program's content hash.
-  [[nodiscard]] DepProfile dep_profile() const;
 
  private:
   friend class Executor;
@@ -260,11 +228,6 @@ class Machine {
 
   Instance* find_global(const std::string& name);
   const Instance* find_global(const std::string& name) const;
-
-  /// Policy v4 demotion protocol: a step that misspeculated once runs
-  /// serially for the rest of the machine's life, without re-validation.
-  bool spec_is_demoted(FunctionId fn, std::size_t step);
-  void spec_demote(FunctionId fn, std::size_t step);
 
   const Program program_;
   InterpOptions options_;
@@ -294,15 +257,6 @@ class Machine {
   /// "orphaned" ATOMIC directives in callees.
   std::set<GridId> atomic_grids_;
   std::mutex atomic_mutex_;
-
-  /// Memory profiler behind options_.profile_deps (null otherwise).
-  std::unique_ptr<DepProfiler> profiler_;
-  /// Policy v4: functions containing at least one promoted step (kNative
-  /// routes their calls to the plan VM, where the validation leg lives)
-  /// and the steps demoted to serial after a misspeculation.
-  std::set<FunctionId> spec_functions_;
-  std::set<std::pair<FunctionId, std::size_t>> spec_demoted_;
-  std::mutex spec_mutex_;
 };
 
 }  // namespace glaf

@@ -116,8 +116,11 @@ void ThreadPool::dispatch(std::int64_t n, ChunkFn invoke, void* ctx) {
   }
   {
     std::unique_lock<std::mutex> lock(mutex_);
+    // Acquire, not relaxed: the last worker's decrement can land before
+    // it takes the mutex to notify, and only this load then orders its
+    // chunk's memory accesses before the caller reuses the job's storage.
     done_cv_.wait(lock, [&] {
-      return pending_.load(std::memory_order_relaxed) == 0;
+      return pending_.load(std::memory_order_acquire) == 0;
     });
     if (first_error_) {
       std::exception_ptr e = first_error_;

@@ -161,28 +161,26 @@ TEST(GlafcJson, WithoutTheFlagStdoutStaysEmpty) {
 }
 
 TEST(GlafcPolicies, RejectsUnknownPolicyNames) {
-  // --policies is the documented alias for --policy; both must reject
-  // names outside v0..v4 with the full range in the message.
-  for (const char* flag : {"--policies=v9", "--policy=v9"}) {
-    const RunResult r = run_command(glafc() + " --builtin=sarb --run"
-                                              " --engine=plan " +
-                                    flag + " 2>&1");
-    ASSERT_TRUE(r.started);
-    EXPECT_NE(r.exit_code, 0) << flag << ": " << r.output;
-    EXPECT_NE(r.output.find("unknown policy 'v9' (v0..v4)"),
-              std::string::npos)
-        << flag << ": " << r.output;
-  }
+  // Only the paper's four Table 2 policies exist; the message names them.
+  const RunResult r = run_command(
+      glafc() + " --builtin=sarb --run --engine=plan --policy=v9 2>&1");
+  ASSERT_TRUE(r.started);
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("unknown policy 'v9' (v0..v3)"), std::string::npos)
+      << r.output;
 }
 
-TEST(GlafcPolicies, AcceptsV4WithoutAProfile) {
-  // v4 with no --profile degrades to the static verdicts: nothing to
-  // promote, but the run itself must succeed.
+TEST(GlafcEngine, TreeWalkRejectsParallel) {
+  // The tree-walk is the serial reference; asking it to run in parallel
+  // is an error, not a silent serial run.
   const RunResult r = run_command(
-      glafc() + " --builtin=sarb --run --engine=plan --policies=v4"
-                " --parallel --threads 2 2>&1");
+      glafc() + " --builtin=sarb --run --engine=treewalk --parallel 2>&1");
   ASSERT_TRUE(r.started);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("--parallel is not supported with"
+                          " --engine=treewalk"),
+            std::string::npos)
+      << r.output;
 }
 
 TEST(GlafcEmitTier, CodegenModeEmitStillSelectsLanguages) {

@@ -274,16 +274,15 @@ TEST(PlanVsTreeWalk, ParallelCollapseBandBitIdentical) {
            idx("i") * 100.0 + idx("j") + call("SQRT", {idx("i") + 1.0}));
   const Program p = pb.build().value();
 
+  // The parallel plan VM, under static and dynamic schedules, against
+  // the serial tree-walk reference.
   for (const bool dynamic : {false, true}) {
-    InterpOptions tw_opts = with_engine(ExecEngine::kTreeWalk);
     InterpOptions pl_opts = with_engine(ExecEngine::kPlan);
-    for (InterpOptions* o : {&tw_opts, &pl_opts}) {
-      o->parallel = true;
-      o->num_threads = 3;
-      o->policy = DirectivePolicy::kV0;
-      o->dynamic_schedule = dynamic;
-    }
-    Machine tw(p, tw_opts);
+    pl_opts.parallel = true;
+    pl_opts.num_threads = 3;
+    pl_opts.policy = DirectivePolicy::kV0;
+    pl_opts.dynamic_schedule = dynamic;
+    Machine tw(p, with_engine(ExecEngine::kTreeWalk));
     Machine pl(p, pl_opts);
     ASSERT_TRUE(tw.call("f").is_ok());
     ASSERT_TRUE(pl.call("f").is_ok());

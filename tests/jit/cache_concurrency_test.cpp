@@ -23,19 +23,14 @@
 #include "jit/engine.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
+#include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
 bool have_cc() { return cc_available("cc"); }
 
-std::string fresh_cache_dir(const std::string& tag) {
-  std::string tmpl =
-      cat(::testing::TempDir(), "glaf_ccache_", tag, "_XXXXXX");
-  const char* dir = mkdtemp(tmpl.data());
-  EXPECT_NE(dir, nullptr);
-  return dir != nullptr ? dir : tmpl;
-}
+using testing::ScopedTempDir;
 
 jit::NativeEngine::Options cache_options(const std::string& cache_dir) {
   jit::NativeEngine::Options options;
@@ -60,7 +55,8 @@ pid_t spawn_compiler(const std::string& cache_dir) {
 
 TEST(CacheConcurrency, TwoProcessColdCompileRaceBothSucceed) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const std::string cache_dir = fresh_cache_dir("race2");
+  const ScopedTempDir tmp("race2");
+  const std::string& cache_dir = tmp.path();
 
   const pid_t a = spawn_compiler(cache_dir);
   ASSERT_GT(a, 0);
@@ -92,7 +88,8 @@ TEST(CacheConcurrency, TwoProcessColdCompileRaceBothSucceed) {
 
 TEST(CacheConcurrency, ManyProcessStressLeavesOneValidEntry) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const std::string cache_dir = fresh_cache_dir("raceN");
+  const ScopedTempDir tmp("raceN");
+  const std::string& cache_dir = tmp.path();
 
   constexpr int kProcs = 6;
   pid_t pids[kProcs];

@@ -33,40 +33,15 @@
 #include "jit/emit.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
+#include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
 bool have_cc() { return cc_available("cc"); }
 
-std::string fresh_cache_dir(const std::string& tag) {
-  std::string tmpl = cat(::testing::TempDir(), "glaf_fcache_", tag, "_XXXXXX");
-  const char* dir = mkdtemp(tmpl.data());
-  EXPECT_NE(dir, nullptr);
-  return dir != nullptr ? dir : tmpl;
-}
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+using testing::ScopedTempDir;
+using testing::ScopedEnv;
 
 InterpOptions serial_native() {
   InterpOptions o;
@@ -344,7 +319,8 @@ TEST(FusedRegionPlan, UnitsPerIterScaleWithBodyCost) {
 
 TEST(FusedRegionDifferential, SarbTable1BitIdenticalFusedUnfusedSerial) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("sarb"));
+  const ScopedTempDir cache_dir("sarb");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program sarb = fuliou::build_sarb_program();
   const fuliou::AtmosphereProfile profile = fuliou::make_profile(7);
   for (const DirectivePolicy policy : kAllPolicies) {
@@ -371,7 +347,8 @@ TEST(FusedRegionDifferential, SarbTable1BitIdenticalFusedUnfusedSerial) {
 
 TEST(FusedRegionDifferential, Fun3dEdgejpBitIdenticalFusedUnfusedSerial) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("fun3d"));
+  const ScopedTempDir cache_dir("fun3d");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const fun3d::Mesh mesh = fun3d::make_mesh(60, 3);
   const Program p = fun3d::build_fun3d_full_program(mesh);
   for (const DirectivePolicy policy : kAllPolicies) {
@@ -393,7 +370,8 @@ TEST(FusedRegionDifferential, Fun3dEdgejpBitIdenticalFusedUnfusedSerial) {
 
 TEST(FusedRegionDifferential, OneThreadEqualsEightThreadsFused) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("threads"));
+  const ScopedTempDir cache_dir("threads");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program sarb = fuliou::build_sarb_program();
   const fuliou::AtmosphereProfile profile = fuliou::make_profile(11);
   Machine one(sarb, parallel_native(DirectivePolicy::kV0, true, 1));
@@ -409,7 +387,8 @@ TEST(FusedRegionDifferential, OneThreadEqualsEightThreadsFused) {
 
 TEST(FusedRegionDifferential, FusedKernelReportsRegionMetadata) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("meta"));
+  const ScopedTempDir cache_dir("meta");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   // The producer/consumer pair from the plan tests, end to end: the
   // report must show one fused region, and one dispatch per call.
   ProgramBuilder pb("m");

@@ -29,43 +29,15 @@
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
 #include "testing/programs.hpp"
+#include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
 bool have_cc() { return cc_available("cc"); }
 
-/// Fresh per-test cache directory under the gtest temp root, so cache
-/// tests see exactly their own entries.
-std::string fresh_cache_dir(const std::string& tag) {
-  std::string tmpl = cat(::testing::TempDir(), "glaf_cache_", tag, "_XXXXXX");
-  const char* dir = mkdtemp(tmpl.data());
-  EXPECT_NE(dir, nullptr);
-  return dir != nullptr ? dir : tmpl;
-}
-
-/// Scoped environment override (restores the previous value).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+using testing::ScopedTempDir;
+using testing::ScopedEnv;
 
 InterpOptions native_opts() {
   InterpOptions o;
@@ -319,7 +291,8 @@ TEST(NativeExamples, Fun3dKernelsBitIdentical) {
 
 TEST(KernelCache, SecondBindSkipsCompilation) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("warm"));
+  const ScopedTempDir cache_dir("warm");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program p = testing::saxpy_program();
   jit::reset_kernel_cache_stats();
 
@@ -345,7 +318,8 @@ TEST(KernelCache, SecondBindSkipsCompilation) {
 
 TEST(KernelCache, CorruptedEntryIsDiscardedAndRebuilt) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("corrupt"));
+  const ScopedTempDir cache_dir("corrupt");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program p = testing::saxpy_program();
 
   Machine first(p, native_opts());
@@ -379,7 +353,8 @@ TEST(KernelCache, CorruptedEntryIsDiscardedAndRebuilt) {
 
 TEST(KernelCache, EnvironmentOverrideRedirectsTheDirectory) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const std::string dir = fresh_cache_dir("override");
+  const ScopedTempDir tmp("override");
+  const std::string& dir = tmp.path();
   const ScopedEnv env("GLAF_KERNEL_CACHE", dir);
   Machine m(testing::saxpy_program(), native_opts());
   require_native(m);

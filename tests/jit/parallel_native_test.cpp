@@ -36,40 +36,15 @@
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
 #include "testing/programs.hpp"
+#include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
 bool have_cc() { return cc_available("cc"); }
 
-std::string fresh_cache_dir(const std::string& tag) {
-  std::string tmpl = cat(::testing::TempDir(), "glaf_pcache_", tag, "_XXXXXX");
-  const char* dir = mkdtemp(tmpl.data());
-  EXPECT_NE(dir, nullptr);
-  return dir != nullptr ? dir : tmpl;
-}
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+using testing::ScopedTempDir;
+using testing::ScopedEnv;
 
 InterpOptions serial_native() {
   InterpOptions o;
@@ -136,7 +111,8 @@ void compare_all_globals(Machine& reference, Machine& other,
 
 TEST(ParallelNativeSarb, Table1SubroutinesBitIdenticalUnderAllPolicies) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("sarb"));
+  const ScopedTempDir cache_dir("sarb");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program sarb = fuliou::build_sarb_program();
   const fuliou::AtmosphereProfile profile = fuliou::make_profile(7);
   for (const DirectivePolicy policy : kAllPolicies) {
@@ -162,7 +138,8 @@ TEST(ParallelNativeSarb, Table1SubroutinesBitIdenticalUnderAllPolicies) {
 
 TEST(ParallelNativeSarb, OneThreadEqualsEightThreads) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("threads"));
+  const ScopedTempDir cache_dir("threads");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program sarb = fuliou::build_sarb_program();
   const fuliou::AtmosphereProfile profile = fuliou::make_profile(11);
   Machine one(sarb, parallel_native(DirectivePolicy::kV0, 1));
@@ -180,7 +157,8 @@ TEST(ParallelNativeSarb, OneThreadEqualsEightThreads) {
 
 TEST(ParallelNativeFun3d, SubFunctionsBitIdenticalUnderAllPolicies) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("fun3d"));
+  const ScopedTempDir cache_dir("fun3d");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   // edgejp drives all five §4.2 sub-functions (cell_loop, edge_loop,
   // angle_check, ioff_search via the call tree, plus face_weight).
   const fun3d::Mesh mesh = fun3d::make_mesh(60, 3);
@@ -204,7 +182,8 @@ TEST(ParallelNativeFun3d, SubFunctionsBitIdenticalUnderAllPolicies) {
 
 TEST(ParallelNativeFun3d, SmallKernelsBitIdentical) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("fun3d_small"));
+  const ScopedTempDir cache_dir("fun3d_small");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program p = fun3d::build_fun3d_glaf_program();
   const auto load = [](Machine& m) {
     std::vector<double> ea(fun3d::kGlafEdges), eb(fun3d::kGlafEdges);
@@ -256,7 +235,8 @@ Program int_reduce_program(int n) {
 
 TEST(ParallelNativeReductions, IntSumBitwiseAcrossThreadCounts) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("intsum"));
+  const ScopedTempDir cache_dir("intsum");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program p = int_reduce_program(64);
   std::vector<double> a(64);
   for (int i = 0; i < 64; ++i) a[static_cast<std::size_t>(i)] = (i * 13) % 31 - 15;
@@ -279,7 +259,8 @@ TEST(ParallelNativeReductions, IntSumBitwiseAcrossThreadCounts) {
 
 TEST(ParallelNativeReductions, IntMinMaxBitwise) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("minmax"));
+  const ScopedTempDir cache_dir("minmax");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   ProgramBuilder pb("m");
   auto a = pb.global("a", DataType::kInt, {E(48)});
   auto lo = pb.global("lo", DataType::kInt);
@@ -312,7 +293,8 @@ TEST(ParallelNativeReductions, IntMinMaxBitwise) {
 
 TEST(ParallelNativeReductions, FloatSumStaysSerialInsideTheKernel) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("floatsum"));
+  const ScopedTempDir cache_dir("floatsum");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   // A float sum is order-sensitive, so it is not bit-exact: the parallel
   // kernel must run it serially (no ranged dispatch) and stay bitwise
   // equal to the serial kernel.
@@ -354,7 +336,8 @@ Program ownership_program() {
 
 TEST(ParallelNativeOwnership, BandedFloatAccumulationBitwise) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("owner"));
+  const ScopedTempDir cache_dir("owner");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program p = ownership_program();
   // The analysis must classify this as bit-exact *with* an ownership
   // band (atomic grid covered by the pure 'i' subscript).
@@ -394,7 +377,8 @@ TEST(ParallelNativeOwnership, BandedFloatAccumulationBitwise) {
 
 TEST(ParallelNativeOwnership, DynamicScheduleStaysBitwise) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("dyn"));
+  const ScopedTempDir cache_dir("dyn");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   // Dynamic chunks still partition the banded dimension, so ownership
   // holds; per-rank scratch and rank-ordered combine keep reductions
   // deterministic even though chunk assignment is racy.
@@ -431,7 +415,8 @@ TEST(ParallelNativeOwnership, DynamicScheduleStaysBitwise) {
 
 TEST(ParallelNativeCache, SerialAndParallelObjectsCoexist) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const std::string dir = fresh_cache_dir("coexist");
+  const ScopedTempDir tmp("coexist");
+  const std::string& dir = tmp.path();
   const ScopedEnv env("GLAF_KERNEL_CACHE", dir);
   const Program p = testing::saxpy_program();
   Machine serial(p, serial_native());

@@ -28,40 +28,15 @@
 #include "runtime/thread_pool.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
+#include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
 bool have_cc() { return cc_available("cc"); }
 
-std::string fresh_cache_dir(const std::string& tag) {
-  std::string tmpl = cat(::testing::TempDir(), "glaf_gcache_", tag, "_XXXXXX");
-  const char* dir = mkdtemp(tmpl.data());
-  EXPECT_NE(dir, nullptr);
-  return dir != nullptr ? dir : tmpl;
-}
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+using testing::ScopedTempDir;
+using testing::ScopedEnv;
 
 /// The shape that motivated the gate: smooth_q's neighbour average over
 /// a handful of nodes — parallelizable, bit-exact, and far too small to
@@ -98,7 +73,8 @@ NativeReport run_tiny(const Program& p, const InterpOptions& o) {
 
 TEST(ProfitGate, SubThresholdKernelNeverLeavesSerial) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("tiny"));
+  const ScopedTempDir cache_dir("tiny");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program p = tiny_smooth_program(16);
   // Auto gate (-1): on a single-core host the gate is "never dispatch";
   // on a real multi-core host the calibrated break-even sits at
@@ -120,7 +96,8 @@ TEST(ProfitGate, SubThresholdKernelNeverLeavesSerial) {
 
 TEST(ProfitGate, GateOffDispatchesAndGateIsMonotone) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("mono"));
+  const ScopedTempDir cache_dir("mono");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program p = tiny_smooth_program(16);
   // gate 0 = gating off: even the tiny kernel dispatches.
   const NativeReport off = run_tiny(p, gated_native(0));
@@ -145,7 +122,8 @@ TEST(ProfitGate, GateOffDispatchesAndGateIsMonotone) {
 
 TEST(ProfitGate, GateDoesNotChangeResults) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
-  const ScopedEnv env("GLAF_KERNEL_CACHE", fresh_cache_dir("same"));
+  const ScopedTempDir cache_dir("same");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program p = tiny_smooth_program(16);
   std::vector<double> q(18);
   for (std::size_t i = 0; i < q.size(); ++i) {
