@@ -48,6 +48,7 @@
 #include "fun3d/glaf_fun3d.hpp"
 #include "interp/machine.hpp"
 #include "support/cli.hpp"
+#include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
@@ -358,68 +359,89 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "interp_engine: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << "{\n  \"benchmark\": \"interp_engine\",\n"
-      << "  \"threads\": " << threads << ",\n"
-      << "  \"levels\": " << levels << ",\n"
-      << "  \"host_cores\": " << host_cores << ",\n"
-      << "  \"regenerate\": \"bench/interp_engine --threads " << threads
-      << " --levels " << levels << " --min-seconds " << fmt(min_seconds, "%g")
-      << (check_gate > 0.0 ? cat(" --check-gate ", fmt(check_gate, "%g")) : "")
-      << " --out BENCH_interp.json\",\n"
-      << "  \"compiler\": \"" << opt_report.compiler << "\",\n"
-      << "  \"compiler_version\": \"" << opt_report.compiler_version
-      << "\",\n"
-      << "  \"opt_compile_flags\": \"" << opt_report.compile_flags << "\",\n"
-      << "  \"opt_host_key\": \"" << opt_report.host_key << "\",\n"
-      << "  \"kernels\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const KernelResult& r = results[i];
-    const double s_speed =
-        r.serial_plan_s > 0.0 ? r.serial_treewalk_s / r.serial_plan_s : 0.0;
-    const double n_speed = r.serial_native_s > 0.0
-                               ? r.serial_plan_s / r.serial_native_s
-                               : 0.0;
-    const double o_speed =
-        r.serial_opt_s > 0.0 ? r.serial_plan_s / r.serial_opt_s : 0.0;
+  const auto ratio = [](double num, double den) {
+    return den > 0.0 ? num / den : 0.0;
+  };
+  JsonWriter w;
+  w.begin_object();
+  w.key("benchmark");
+  w.value("interp_engine");
+  w.key("threads");
+  w.value(threads);
+  w.key("levels");
+  w.value(levels);
+  w.key("host_cores");
+  w.value(static_cast<std::int64_t>(host_cores));
+  w.key("regenerate");
+  w.value(cat("bench/interp_engine --threads ", threads, " --levels ", levels,
+              " --min-seconds ", fmt(min_seconds, "%g"),
+              check_gate > 0.0 ? cat(" --check-gate ", fmt(check_gate, "%g"))
+                               : "",
+              " --out BENCH_interp.json"));
+  w.key("compiler");
+  w.value(opt_report.compiler);
+  w.key("compiler_version");
+  w.value(opt_report.compiler_version);
+  w.key("opt_compile_flags");
+  w.value(opt_report.compile_flags);
+  w.key("opt_host_key");
+  w.value(opt_report.host_key);
+  w.key("kernels");
+  w.begin_array();
+  for (const KernelResult& r : results) {
+    w.begin_object();
+    w.key("suite");
+    w.value(r.suite);
+    w.key("name");
+    w.value(r.name);
+    w.key("serial_treewalk_s");
+    w.value(r.serial_treewalk_s);
+    w.key("serial_plan_s");
+    w.value(r.serial_plan_s);
+    w.key("serial_native_s");
+    w.value(r.serial_native_s);
+    w.key("serial_opt_s");
+    w.value(r.serial_opt_s);
+    w.key("serial_speedup");
+    w.value(ratio(r.serial_treewalk_s, r.serial_plan_s));
+    w.key("serial_native_speedup");
+    w.value(ratio(r.serial_plan_s, r.serial_native_s));
+    w.key("serial_opt_speedup");
+    w.value(ratio(r.serial_plan_s, r.serial_opt_s));
+    w.key("parallel_plan_s");
+    w.value(r.parallel_plan_s);
+    w.key("parallel_native_s");
+    w.value(r.parallel_native_s);
     // Parallel plan VM over serial plan: what threading the VM buys.
-    const double p_speed =
-        r.parallel_plan_s > 0.0 ? r.serial_plan_s / r.parallel_plan_s : 0.0;
-    const double pn_speed = r.parallel_native_s > 0.0
-                                ? r.serial_native_s / r.parallel_native_s
-                                : 0.0;
-    const double pu_speed =
-        r.parallel_native_ungated_s > 0.0
-            ? r.serial_native_s / r.parallel_native_ungated_s
-            : 0.0;
-    out << "    {\"suite\": \"" << r.suite << "\", \"name\": \"" << r.name
-        << "\", \"serial_treewalk_s\": " << fmt(r.serial_treewalk_s, "%.6g")
-        << ", \"serial_plan_s\": " << fmt(r.serial_plan_s, "%.6g")
-        << ", \"serial_native_s\": " << fmt(r.serial_native_s, "%.6g")
-        << ", \"serial_opt_s\": " << fmt(r.serial_opt_s, "%.6g")
-        << ", \"serial_speedup\": " << fmt(s_speed, "%.3f")
-        << ", \"serial_native_speedup\": " << fmt(n_speed, "%.3f")
-        << ", \"serial_opt_speedup\": " << fmt(o_speed, "%.3f")
-        << ", \"parallel_plan_s\": " << fmt(r.parallel_plan_s, "%.6g")
-        << ", \"parallel_native_s\": " << fmt(r.parallel_native_s, "%.6g")
-        << ", \"parallel_plan_speedup\": " << fmt(p_speed, "%.3f")
-        << ", \"parallel_native_speedup\": " << fmt(pn_speed, "%.3f")
-        << ", \"parallel_native_ungated_s\": "
-        << fmt(r.parallel_native_ungated_s, "%.6g")
-        << ", \"parallel_native_ungated_speedup\": " << fmt(pu_speed, "%.3f")
-        << ", \"regions_total\": " << r.regions_total
-        << ", \"regions_fused\": " << r.regions_fused
-        << ", \"gated_regions\": " << r.gated_regions << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
+    w.key("parallel_plan_speedup");
+    w.value(ratio(r.serial_plan_s, r.parallel_plan_s));
+    w.key("parallel_native_speedup");
+    w.value(ratio(r.serial_native_s, r.parallel_native_s));
+    w.key("parallel_native_ungated_s");
+    w.value(r.parallel_native_ungated_s);
+    w.key("parallel_native_ungated_speedup");
+    w.value(ratio(r.serial_native_s, r.parallel_native_ungated_s));
+    w.key("regions_total");
+    w.value(r.regions_total);
+    w.key("regions_fused");
+    w.value(r.regions_fused);
+    w.key("gated_regions");
+    w.value(r.gated_regions);
+    w.end_object();
   }
-  out << "  ],\n  \"sarb_serial_geomean_speedup\": " << fmt(geomean, "%.3f")
-      << ",\n  \"sarb_serial_native_geomean_speedup\": "
-      << fmt(native_geomean, "%.3f")
-      << ",\n  \"sarb_serial_opt_geomean_speedup\": "
-      << fmt(opt_geomean, "%.3f")
-      << ",\n  \"sarb_parallel_native_geomean_speedup\": "
-      << fmt(pnative_geomean, "%.3f")
-      << ",\n  \"sarb_parallel_native_ungated_geomean_speedup\": "
-      << fmt(ungated_geomean, "%.3f") << "\n}\n";
+  w.end_array();
+  w.key("sarb_serial_geomean_speedup");
+  w.value(geomean);
+  w.key("sarb_serial_native_geomean_speedup");
+  w.value(native_geomean);
+  w.key("sarb_serial_opt_geomean_speedup");
+  w.value(opt_geomean);
+  w.key("sarb_parallel_native_geomean_speedup");
+  w.value(pnative_geomean);
+  w.key("sarb_parallel_native_ungated_geomean_speedup");
+  w.value(ungated_geomean);
+  w.end_object();
+  out << std::move(w).str() << "\n";
   std::printf("wrote %s\n", out_path.c_str());
   if (gate_violations > 0) {
     std::fprintf(stderr, "interp_engine: %d kernel(s) failed the"

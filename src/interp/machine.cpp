@@ -506,23 +506,41 @@ Machine::Machine(Program program, InterpOptions options)
           jit::NativeEngine::create(
               program_, analysis_,
               native_engine_options(options_, pool_.get()));
-      if (engine.is_ok()) {
+      Status status = engine.status();
+      if (status.is_ok()) {
+        // Resolve the kernel's slot table once: global instances never
+        // move (set_array copies in place), so every call reuses it.
+        std::vector<double*> grids;
+        std::vector<long> extents;
+        for (const jit::AbiSlot& slot : engine.value()->slots()) {
+          Instance* inst = plan_slots_proto_[slot.grid];
+          grids.push_back(inst->data.data());
+          extents.push_back(static_cast<long>(inst->data.size()));
+        }
+        status = engine.value()->bind_globals(std::move(grids),
+                                              std::move(extents));
+      }
+      if (status.is_ok()) {
         native_ = std::move(engine).value();
+        const jit::CompiledKernel& build = native_->build();
         native_report_.available = true;
-        native_report_.cache_hit = native_->cache_hit();
-        native_report_.object_path = native_->object_path();
+        native_report_.cache_hit = build.cache_hit;
+        native_report_.object_path = build.object_path;
         native_report_.num_threads = pool_ != nullptr ? pool_->size() : 1;
-        native_report_.regions_total = native_->regions_total();
-        native_report_.regions_fused = native_->fused_regions();
+        native_report_.regions_total = build.unit.regions.size();
+        native_report_.regions_fused = static_cast<std::uint64_t>(
+            std::count_if(build.unit.regions.begin(), build.unit.regions.end(),
+                          [](const ParallelRegion& r) {
+                            return r.step_count >= 2;
+                          }));
         native_report_.gate_min_units = native_->gate_min_units();
-        native_report_.model = native_->model();
-        native_report_.compiler = native_->compiler();
-        native_report_.compiler_version = native_->compiler_version();
-        native_report_.compile_flags = native_->compile_flags();
-        native_report_.host_key = native_->host_key();
+        native_report_.model = options_.native_model;
+        native_report_.compiler = build.cc;
+        native_report_.compiler_version = build.cc_identity;
+        native_report_.compile_flags = build.flags;
+        native_report_.host_key = build.host_key;
       } else {
-        native_report_.fallback_reason =
-            std::string(engine.status().message());
+        native_report_.fallback_reason = std::string(status.message());
       }
     }
   }
@@ -565,7 +583,8 @@ Status Machine::set_array(const std::string& grid,
     return invalid_argument(cat("'", grid, "' holds ", buf.size(),
                                 " elements, got ", data.size()));
   }
-  buf = data;
+  // Copy in place: the native engine bound this storage at construction.
+  std::copy(data.begin(), data.end(), buf.begin());
   return Status::ok();
 }
 
@@ -603,38 +622,25 @@ StatusOr<double> Machine::call(const std::string& function,
   // literal scalars (C passes scalar parameters by value, so a global
   // passed by name — bound by reference in the interpreter — must take
   // the plan path).
-  if (native_ != nullptr) {
-    const jit::AbiFunction* abi = native_->find(function);
-    const bool literal_args =
-        std::all_of(args.begin(), args.end(), [](const CallArg& a) {
-          return std::holds_alternative<double>(a);
-        });
-    if (abi != nullptr && abi->supported && literal_args) {
-      std::vector<double> scalars;
-      scalars.reserve(args.size());
-      for (const CallArg& a : args) scalars.push_back(std::get<double>(a));
-      std::vector<jit::GlobalBinding> bindings;
-      bindings.reserve(native_->slots().size());
-      for (const jit::AbiSlot& slot : native_->slots()) {
-        Instance* inst = globals_.at(slot.grid).get();
-        bindings.push_back(jit::GlobalBinding{
-            inst->data.data(),
-            static_cast<std::int64_t>(inst->data.size())});
-      }
-      const std::uint64_t regions_before = native_->parallel_regions();
-      const std::uint64_t gated_before = native_->gated_regions();
-      StatusOr<double> result = native_->call(*abi, scalars, bindings);
-      if (!result.is_ok()) return result.status();
-      const std::uint64_t regions =
-          native_->parallel_regions() - regions_before;
-      native_report_.parallel_regions += regions;
-      native_report_.gated_serial_regions +=
-          native_->gated_regions() - gated_before;
-      if (regions > 0) ++native_report_.parallel_calls;
-      ++native_report_.native_calls;
-      ++stats_.function_calls;
-      return result;
-    }
+  if (native_ != nullptr && native_->callable(fn->id) &&
+      std::all_of(args.begin(), args.end(), [](const CallArg& a) {
+        return std::holds_alternative<double>(a);
+      })) {
+    std::vector<double> scalars;
+    scalars.reserve(args.size());
+    for (const CallArg& a : args) scalars.push_back(std::get<double>(a));
+    const std::uint64_t regions_before = native_->parallel_regions();
+    const std::uint64_t gated_before = native_->gated_regions();
+    StatusOr<double> result = native_->call(fn->id, scalars);
+    if (!result.is_ok()) return result.status();
+    const std::uint64_t regions = native_->parallel_regions() - regions_before;
+    native_report_.parallel_regions += regions;
+    native_report_.gated_serial_regions +=
+        native_->gated_regions() - gated_before;
+    if (regions > 0) ++native_report_.parallel_calls;
+    ++native_report_.native_calls;
+    ++stats_.function_calls;
+    return result;
   }
   // Count every kNative call the kernel did not run — per-call routing
   // (unsupported ABI, grid-name arguments) and whole-engine

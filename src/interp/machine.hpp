@@ -40,7 +40,6 @@ struct ProgramPlan;
 
 namespace jit {
 class NativeEngine;
-struct AbiFunction;
 }  // namespace jit
 
 /// Runtime storage for one grid instance. All numeric values are held as

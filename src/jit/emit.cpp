@@ -326,11 +326,7 @@ StatusOr<KernelUnit> emit_kernel_unit(const Program& program,
     }
   }
 
-  // The host-parallel range ABI is an interp-tier feature (its bit-exact
-  // partitioning argument is meaningless under reordered typed math), so
-  // opt units are always serial.
-  const bool parallel =
-      options.parallel && options.model != NumericModel::kOpt;
+  const bool parallel = options.emits_parallel();
 
   CodegenOptions copts;
   copts.language = Language::kC;

@@ -61,10 +61,13 @@ struct KernelUnit {
   std::vector<ParallelRegion> regions;
 };
 
-/// Options controlling the lowered unit (mirrors InterpOptions).
+/// Options controlling the lowered unit (mirrors InterpOptions). The
+/// native engine's options inherit these, so every emission knob is
+/// declared once.
 struct EmitOptions {
   /// Emit host-driven parallel range functions for bit-exact steps (the
   /// engine installs its thread pool through the exported glaf_set_pfor).
+  /// A request only: emits_parallel() is the resolved mode.
   bool parallel = false;
   DirectivePolicy policy = DirectivePolicy::kV0;
   bool save_temporaries = false;
@@ -72,16 +75,25 @@ struct EmitOptions {
   /// (codegen fuse_regions); changes the emitted source, so the engine
   /// also folds it into the cache key.
   bool fuse_regions = true;
-  /// Host-side dispatch knobs (they do not change the emitted source —
-  /// the engine folds them into the cache-key config instead).
+  /// Host-side dispatch knobs. They never reach the emitted source: the
+  /// engine applies them when it loads the kernel, so they are not part
+  /// of the cache key either (static and dynamic runs share one object).
   bool dynamic_schedule = false;
   std::int64_t schedule_chunk = 4;
   /// Numeric model of the lowered unit. kInterp is the bit-identical
   /// tier; kOpt stores grids in native widths, restrict-qualifies
   /// pointers, and applies the S4 interchange pass — its results are
-  /// compared under ulp budgets. kOpt units are always serial (the
-  /// host-parallel range ABI is an interp-tier feature).
+  /// compared under ulp budgets.
   NumericModel model = NumericModel::kInterp;
+
+  /// Whether the unit carries the host-parallel range ABI. It is an
+  /// interp-tier feature (its bit-exact partitioning argument is
+  /// meaningless under reordered typed math), so opt units are always
+  /// serial. The emitter, the cache key and the load-time ABI check
+  /// all read this one answer.
+  [[nodiscard]] bool emits_parallel() const {
+    return parallel && model != NumericModel::kOpt;
+  }
 };
 
 /// Lower `program` to a native kernel unit. Fails (whole-engine

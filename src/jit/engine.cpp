@@ -6,11 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-
 #include <thread>
 
+#include "analysis/plan_profit.hpp"
 #include "jit/cache.hpp"
-#include "perfmodel/machine_model.hpp"
 #include "support/fault.hpp"
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
@@ -106,23 +105,10 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::create(
 StatusOr<CompiledKernel> NativeEngine::compile_object(
     const Program& program, const ProgramAnalysis& analysis,
     const Options& options) {
-  // The opt tier is serial by construction (emit.cpp clamps the same
-  // way); resolve it once here so the ABI check, the pfor installation
-  // and the cache key all agree.
-  const bool opt_tier = options.model == NumericModel::kOpt;
-  const bool parallel = options.parallel && !opt_tier;
-
-  EmitOptions eopts;
-  eopts.parallel = parallel;
-  eopts.policy = options.policy;
-  eopts.save_temporaries = options.save_temporaries;
-  eopts.dynamic_schedule = options.dynamic_schedule;
-  eopts.schedule_chunk = options.schedule_chunk;
-  eopts.fuse_regions = options.fuse_regions;
-  eopts.model = options.model;
-  StatusOr<KernelUnit> unit = emit_kernel_unit(program, analysis, eopts);
+  StatusOr<KernelUnit> unit = emit_kernel_unit(program, analysis, options);
   if (!unit.is_ok()) return unit.status();
 
+  const bool opt_tier = options.model == NumericModel::kOpt;
   const std::string cc = default_cc(options.cc);
   const bool portable =
       options.portable || std::getenv("GLAF_NATIVE_PORTABLE") != nullptr;
@@ -141,29 +127,27 @@ StatusOr<CompiledKernel> NativeEngine::compile_object(
                 portable ? "" : " -march=native")
           : "-shared -fPIC -O2 -ffp-contract=off -fno-builtin";
   // The emitted source already encodes the parallel partitioning, but
-  // folding the engine configuration into the key as well keeps serial
-  // and parallel objects (and per-policy / per-schedule / per-tier
-  // variants) as distinct cache entries even when their sources
-  // coincide. -march=native objects additionally key the host CPU
-  // fingerprint, so a cache directory shared across hosts can never
-  // serve an incompatible object (the compiler identity is already part
-  // of every key via KernelCache::key).
-  // The gate threshold is installed at run time through glaf_set_pfor
-  // and deliberately NOT part of the key: retuning the gate must never
-  // recompile or split the cache.
+  // folding the emission configuration into the key as well keeps serial
+  // and parallel objects (and per-policy / per-tier variants) as
+  // distinct cache entries even when their sources coincide.
+  // -march=native objects additionally key the host CPU fingerprint, so
+  // a cache directory shared across hosts can never serve an
+  // incompatible object (the compiler identity is already part of every
+  // key via KernelCache::key).
+  // What is installed at load — the schedule, its chunk and the gate
+  // threshold — is deliberately NOT part of the key: it never reaches
+  // the emitted source, so changing it must never recompile or split
+  // the cache.
   const std::string host_key =
       opt_tier && !portable ? host_arch_fingerprint() : std::string();
   const std::string config =
-      cat("parallel=", parallel ? 1 : 0, ";policy=",
-          to_string(options.policy), ";sched=",
-          options.dynamic_schedule ? "dynamic" : "static", ";chunk=",
-          options.schedule_chunk, ";fuse=", options.fuse_regions ? 1 : 0,
+      cat("parallel=", options.emits_parallel() ? 1 : 0, ";policy=",
+          to_string(options.policy), ";fuse=", options.fuse_regions ? 1 : 0,
           ";model=", to_string(options.model), ";host=", host_key,
           ";emit=", kAbiVersion);
 
   CompiledKernel compiled;
   compiled.unit = std::move(unit).value();
-  compiled.parallel = parallel;
   compiled.cc = cc;
   compiled.cc_identity = compiler_identity(cc);
   compiled.flags = flags;
@@ -184,32 +168,25 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
   if (fault::should_fail("jit.engine.load")) {
     return internal_error("fault injected: kernel load refused");
   }
-  const bool opt_tier = options.model == NumericModel::kOpt;
-  const bool parallel = compiled.parallel;
+  const bool parallel = options.emits_parallel();
 
   auto engine = std::unique_ptr<NativeEngine>(new NativeEngine());
-  engine->unit_ = std::move(compiled.unit);
-  engine->options_ = options;
-  engine->cc_ = compiled.cc;
-  engine->cc_identity_ = compiled.cc_identity;
-  engine->flags_ = compiled.flags;
-  engine->host_key_ = compiled.host_key;
-  engine->cache_hit_ = compiled.cache_hit;
-  engine->object_path_ = std::move(compiled.object_path);
+  engine->build_ = std::move(compiled);
+  engine->num_threads_ = options.num_threads;
+  CompiledKernel& build = engine->build_;
 
-  StatusOr<void*> handle = open_private_copy(engine->object_path_);
+  StatusOr<void*> handle = open_private_copy(build.object_path);
   if (!handle.is_ok()) {
     // The published entry may be stale or corrupted in a way the ELF
     // sniff missed: discard it and rebuild once.
-    KernelCache cache(compiled.cache_dir);
-    cache.invalidate(engine->object_path_);
-    StatusOr<std::string> object =
-        cache.object_for(engine->unit_.source, compiled.cc, compiled.flags,
-                         nullptr, compiled.config);
+    KernelCache cache(build.cache_dir);
+    cache.invalidate(build.object_path);
+    StatusOr<std::string> object = cache.object_for(
+        build.unit.source, build.cc, build.flags, nullptr, build.config);
     if (!object.is_ok()) return object.status();
-    engine->cache_hit_ = false;
-    engine->object_path_ = std::move(object).value();
-    handle = open_private_copy(engine->object_path_);
+    build.cache_hit = false;
+    build.object_path = std::move(object).value();
+    handle = open_private_copy(build.object_path);
     if (!handle.is_ok()) return handle.status();
   }
   engine->handle_ = handle.value();
@@ -224,13 +201,13 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
     return internal_error("kernel ABI version mismatch");
   }
   if (meta("glaf_nat_num_slots") !=
-      static_cast<long>(engine->unit_.slots.size())) {
+      static_cast<long>(build.unit.slots.size())) {
     return internal_error("kernel slot count mismatch");
   }
   if (meta("glaf_nat_parallel") != (parallel ? 1 : 0)) {
     return internal_error("kernel parallel-mode mismatch");
   }
-  if (meta("glaf_nat_model") != (opt_tier ? 1 : 0)) {
+  if (meta("glaf_nat_model") != (options.model == NumericModel::kOpt ? 1 : 0)) {
     return internal_error("kernel numeric-model mismatch");
   }
   if (parallel) {
@@ -254,9 +231,9 @@ StatusOr<std::unique_ptr<NativeEngine>> NativeEngine::load_compiled(
       return internal_error("parallel kernel lacks glaf_nat_gated");
     }
   }
-  engine->entry_points_.resize(engine->unit_.functions.size(), nullptr);
-  for (std::size_t i = 0; i < engine->unit_.functions.size(); ++i) {
-    const AbiFunction& fn = engine->unit_.functions[i];
+  engine->entry_points_.resize(build.unit.functions.size(), nullptr);
+  for (std::size_t i = 0; i < build.unit.functions.size(); ++i) {
+    const AbiFunction& fn = build.unit.functions[i];
     if (!fn.supported) continue;
     void* sym = dlsym(engine->handle_, fn.symbol.c_str());
     if (sym == nullptr) {
@@ -271,40 +248,33 @@ NativeEngine::~NativeEngine() {
   if (handle_ != nullptr) dlclose(handle_);
 }
 
-const AbiFunction* NativeEngine::find(const std::string& function) const {
-  for (const AbiFunction& fn : unit_.functions) {
-    if (fn.name == function) return &fn;
+Status NativeEngine::bind_globals(std::vector<double*> grids,
+                                  std::vector<long> extents) {
+  if (grids.size() != slots().size() || extents.size() != slots().size()) {
+    return invalid_argument(cat("native engine bound ", grids.size(),
+                                " globals, kernel has ", slots().size()));
   }
-  return nullptr;
+  grids_ = std::move(grids);
+  extents_ = std::move(extents);
+  return Status::ok();
 }
 
-StatusOr<double> NativeEngine::call(const AbiFunction& fn,
-                                    const std::vector<double>& scalars,
-                                    const std::vector<GlobalBinding>& bindings) {
-  if (bindings.size() != unit_.slots.size()) {
-    return invalid_argument(cat("native call bound ", bindings.size(),
-                                " globals, kernel has ",
-                                unit_.slots.size()));
+StatusOr<double> NativeEngine::call(std::size_t index,
+                                    const std::vector<double>& scalars) {
+  if (!callable(index)) {
+    return failed_precondition(cat("function #", index, " has no native entry"));
   }
-  const std::ptrdiff_t index = &fn - unit_.functions.data();
-  if (index < 0 ||
-      index >= static_cast<std::ptrdiff_t>(entry_points_.size()) ||
-      entry_points_[index] == nullptr) {
-    return failed_precondition(cat("'", fn.name, "' has no native entry"));
+  if (grids_.size() != slots().size()) {
+    return failed_precondition("native call before bind_globals");
   }
-  std::vector<double*> grids(bindings.size());
-  std::vector<long> extents(bindings.size());
-  for (std::size_t i = 0; i < bindings.size(); ++i) {
-    grids[i] = bindings[i].data;
-    extents[i] = static_cast<long>(bindings[i].elements);
-  }
-  NatArgs args{grids.data(), extents.data(), scalars.data(),
-               options_.num_threads, 0.0};
+  NatArgs args{grids_.data(), extents_.data(), scalars.data(),
+               num_threads_, 0.0};
   const long status =
       reinterpret_cast<WrapperFn>(entry_points_[index])(&args);
   if (status != 0) {
     return internal_error(cat("native kernel rejected slot ", status - 1,
-                              " of '", fn.name, "' (extent mismatch)"));
+                              " of '", build_.unit.functions[index].name,
+                              "' (extent mismatch)"));
   }
   return args.result;
 }

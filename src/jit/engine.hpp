@@ -37,25 +37,15 @@ struct PforHost {
   std::atomic<std::uint64_t> regions{0};
 };
 
-/// Host-side view of one global's storage (kept free of interpreter
-/// types: glaf_interp links glaf_jit, not the other way around).
-struct GlobalBinding {
-  double* data = nullptr;
-  std::int64_t elements = 0;
-};
-
-/// A compiled-but-not-loaded kernel: the emitted unit plus the published
-/// cache object and the exact build identity it was keyed under. Produced
-/// by NativeEngine::compile_object (which never dlopens — safe on a
-/// background thread) and consumed by NativeEngine::load_compiled.
+/// One kernel build: the emitted unit, the published cache object and
+/// the exact build identity it was keyed under. Produced by
+/// NativeEngine::compile_object (which never dlopens — safe on a
+/// background thread); load_compiled moves it into the engine it builds,
+/// which keeps it as its build record.
 struct CompiledKernel {
   KernelUnit unit;
   std::string object_path;  ///< published cache entry
   bool cache_hit = false;   ///< compilation skipped (entry already valid)
-  /// The engine-level parallel mode the unit was emitted with (the opt
-  /// tier clamps Options::parallel to serial; this is the resolved value
-  /// the load half must trust).
-  bool parallel = false;
   /// Build provenance / cache identity: resolved compiler command, its
   /// --version line, the flag string, the host fingerprint (opt tier,
   /// non-portable only) and the full cache-key config string.
@@ -71,16 +61,11 @@ struct CompiledKernel {
 
 class NativeEngine {
  public:
-  struct Options {
-    bool parallel = false;
+  /// The emission knobs (parallel, policy, save_temporaries,
+  /// fuse_regions, dynamic_schedule, schedule_chunk, model) are
+  /// inherited; the fields below only steer compiling and loading.
+  struct Options : EmitOptions {
     int num_threads = 4;
-    DirectivePolicy policy = DirectivePolicy::kV0;
-    bool save_temporaries = false;
-    bool dynamic_schedule = false;
-    std::int64_t schedule_chunk = 4;
-    /// Fuse adjacent fusable ranged steps into one region entry point
-    /// (one fork/join per region instead of per step).
-    bool fuse_regions = true;
     /// Profit-gate threshold in plan_profit work units: a region
     /// dispatches to the pool only when trip_count x units reaches it.
     /// 0 disables gating (always dispatch); -1 resolves a calibrated
@@ -96,12 +81,6 @@ class NativeEngine {
     std::string cc;
     /// Cache directory override ("" = $GLAF_KERNEL_CACHE / XDG default).
     std::string cache_dir;
-    /// Numeric model of the emitted unit: kInterp compiles the
-    /// bit-identical all-double tier (-O2, contraction off); kOpt
-    /// compiles the typed tier with -O3 -march=native and contraction
-    /// on — its results are ulp-close, not bitwise. kOpt units are
-    /// always serial (the range ABI is an interp-tier feature).
-    NumericModel model = NumericModel::kInterp;
     /// Compile the opt tier without -march=native (generic -O3), for
     /// cache directories or objects that must run on any host. Also
     /// forced by the GLAF_NATIVE_PORTABLE environment variable.
@@ -138,18 +117,24 @@ class NativeEngine {
   NativeEngine(const NativeEngine&) = delete;
   NativeEngine& operator=(const NativeEngine&) = delete;
 
-  /// ABI record for `function`, or nullptr when unknown. A record with
-  /// !supported means per-call fallback (with its reason).
-  [[nodiscard]] const AbiFunction* find(const std::string& function) const;
+  /// Bind the host storage every call copies in and out: one base
+  /// pointer and element count per slot, in slots() order. The storage
+  /// must stay where it is for as long as calls are made (a Machine's
+  /// global instances never move), so binding happens once.
+  Status bind_globals(std::vector<double*> grids, std::vector<long> extents);
 
-  /// Call a supported function. `bindings` must follow slots() order;
+  /// Whether the function at `index` (program.functions order, i.e. its
+  /// FunctionId) has a native entry point; false means per-call fallback.
+  [[nodiscard]] bool callable(std::size_t index) const {
+    return index < entry_points_.size() && entry_points_[index] != nullptr;
+  }
+
+  /// Call the callable function at `index` on the bound globals.
   /// `scalars` are the entry call's literal arguments.
-  StatusOr<double> call(const AbiFunction& fn,
-                        const std::vector<double>& scalars,
-                        const std::vector<GlobalBinding>& bindings);
+  StatusOr<double> call(std::size_t index, const std::vector<double>& scalars);
 
   [[nodiscard]] const std::vector<AbiSlot>& slots() const {
-    return unit_.slots;
+    return build_.unit.slots;
   }
   /// Parallel regions dispatched through the pfor trampoline so far
   /// (0 for serial units).
@@ -164,50 +149,19 @@ class NativeEngine {
     return gated_fn_ != nullptr ? static_cast<std::uint64_t>(gated_fn_())
                                 : 0;
   }
-  /// Static dispatch regions in the unit, and how many fused >= 2 steps.
-  [[nodiscard]] std::size_t regions_total() const {
-    return unit_.regions.size();
-  }
-  [[nodiscard]] std::size_t fused_regions() const {
-    std::size_t fused = 0;
-    for (const ParallelRegion& r : unit_.regions) {
-      if (r.step_count >= 2) ++fused;
-    }
-    return fused;
-  }
   /// The gate threshold actually installed into the kernel.
   [[nodiscard]] std::int64_t gate_min_units() const { return gate_units_; }
-  /// Compilation was skipped because a valid cached object existed.
-  [[nodiscard]] bool cache_hit() const { return cache_hit_; }
-  [[nodiscard]] const std::string& object_path() const {
-    return object_path_;
-  }
-  [[nodiscard]] const std::string& source() const { return unit_.source; }
-  /// Numeric model the unit was emitted with.
-  [[nodiscard]] NumericModel model() const { return options_.model; }
-  /// Build provenance, recorded into NativeReport: the resolved compiler
-  /// command, its --version identity, the exact flag string, and the
-  /// host fingerprint keyed for -march=native objects ("" when the
-  /// object is portable).
-  [[nodiscard]] const std::string& compiler() const { return cc_; }
-  [[nodiscard]] const std::string& compiler_version() const {
-    return cc_identity_;
-  }
-  [[nodiscard]] const std::string& compile_flags() const { return flags_; }
-  [[nodiscard]] const std::string& host_key() const { return host_key_; }
+  /// The build record the engine was loaded from: unit (with its slots
+  /// and dispatch regions), compiler, its identity, flags, host key,
+  /// object path and whether the cache hit (updated when a stale object
+  /// had to be rebuilt at load).
+  [[nodiscard]] const CompiledKernel& build() const { return build_; }
 
  private:
   NativeEngine() = default;
 
-  KernelUnit unit_;
-  Options options_;
-  std::string object_path_;  ///< published cache entry
-  bool cache_hit_ = false;
-  /// Build provenance (see the accessors above).
-  std::string cc_;
-  std::string cc_identity_;
-  std::string flags_;
-  std::string host_key_;
+  CompiledKernel build_;
+  long num_threads_ = 1;   ///< Options::num_threads, passed to every call
   void* handle_ = nullptr;   ///< dlopen handle of the private copy
   /// Set when the unit was emitted parallel: the context installed via
   /// the kernel's glaf_set_pfor.
@@ -216,10 +170,13 @@ class NativeEngine {
   /// gate threshold installed at load time.
   long (*gated_fn_)() = nullptr;
   std::int64_t gate_units_ = 0;
-  /// Resolved wrapper entry points, parallel to unit_.functions
+  /// Resolved wrapper entry points, parallel to build_.unit.functions
   /// (nullptr for unsupported entries) — the in-memory handle table
   /// that makes repeat binds symbol-lookup-free.
   std::vector<void*> entry_points_;
+  /// Host storage per slot (bind_globals).
+  std::vector<double*> grids_;
+  std::vector<long> extents_;
 };
 
 /// Resolve an Options::gate_min_units request against the execution

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "fun3d/recon.hpp"
+#include "perfmodel/machine_model.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/timer.hpp"
 

@@ -5,9 +5,9 @@
 // the benchmarks, so the modeled times are anchored in real measurements
 // even though the target machines are simulated.
 
+#include "analysis/plan_profit.hpp"
 #include "fun3d/mesh.hpp"
 #include "perfmodel/fun3d_model.hpp"
-#include "perfmodel/machine_model.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace glaf {

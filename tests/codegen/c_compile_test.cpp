@@ -15,12 +15,13 @@
 #include "codegen/c.hpp"
 #include "core/builder.hpp"
 #include "interp/machine.hpp"
+#include "testing/native.hpp"
 #include "testing/programs.hpp"
 
 namespace glaf {
 namespace {
 
-bool have_cc() { return std::system("cc --version > /dev/null 2>&1") == 0; }
+using testing::have_cc;
 
 /// Compile `source` + run the binary; return its stdout (or nullopt).
 std::optional<std::string> compile_and_run(const std::string& source,

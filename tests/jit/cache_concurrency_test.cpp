@@ -22,14 +22,13 @@
 #include "interp/machine.hpp"
 #include "jit/engine.hpp"
 #include "support/strings.hpp"
-#include "support/subprocess.hpp"
+#include "testing/native.hpp"
 #include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
-bool have_cc() { return cc_available("cc"); }
-
+using testing::have_cc;
 using testing::ScopedTempDir;
 
 jit::NativeEngine::Options cache_options(const std::string& cache_dir) {

@@ -15,7 +15,6 @@
 //    decomposition under every directive policy, and at 1 == N threads —
 //    fusion is a pure dispatch-cost optimization, never a semantic one.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -32,16 +31,18 @@
 #include "interp/machine.hpp"
 #include "jit/emit.hpp"
 #include "support/strings.hpp"
-#include "support/subprocess.hpp"
+#include "testing/native.hpp"
 #include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
-bool have_cc() { return cc_available("cc"); }
-
-using testing::ScopedTempDir;
+using testing::compare_all_globals;
+using testing::have_cc;
+using testing::kAllPolicies;
+using testing::require_native;
 using testing::ScopedEnv;
+using testing::ScopedTempDir;
 
 InterpOptions serial_native() {
   InterpOptions o;
@@ -61,34 +62,6 @@ InterpOptions parallel_native(DirectivePolicy policy, bool fuse,
   o.fuse_regions = fuse;
   o.gate_min_units = 0;
   return o;
-}
-
-constexpr DirectivePolicy kAllPolicies[] = {
-    DirectivePolicy::kV0, DirectivePolicy::kV1, DirectivePolicy::kV2,
-    DirectivePolicy::kV3};
-
-void expect_value_equal(double a, double b, const std::string& what) {
-  if (std::isnan(a) && std::isnan(b)) return;
-  EXPECT_TRUE(a == b) << what << ": reference " << a << " vs " << b;
-}
-
-void require_native(const Machine& m) {
-  ASSERT_TRUE(m.native_report().available)
-      << "native engine unavailable: " << m.native_report().fallback_reason;
-}
-
-void compare_all_globals(Machine& reference, Machine& other,
-                         const std::string& tag) {
-  for (const GridId id : reference.program().global_grids) {
-    const Grid& g = reference.program().grid(id);
-    if (g.is_struct()) continue;
-    const std::vector<double> a = reference.array(g.name).value();
-    const std::vector<double> b = other.array(g.name).value();
-    ASSERT_EQ(a.size(), b.size()) << tag << ": " << g.name;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      expect_value_equal(a[i], b[i], cat(tag, ": ", g.name, "[", i, "]"));
-    }
-  }
 }
 
 // ---- region-boundary unit tests ---------------------------------------------

@@ -1,14 +1,14 @@
 // Native-engine tests: (a) bit-identical differentials against the plan
 // engine on the drift-prone semantics (integer DIV/MOD truncation, NaN
 // through MIN/MAX, INTEGER-store truncation) and on the checked-in
-// example kernels (SARB Table 1, FUN3D), (b) the kernel cache's
+// example kernels (SARB Table 1, FUN3D) and across inputs set between
+// two calls on one machine, (b) the kernel cache's
 // cold/warm compile behaviour, corruption recovery and directory
 // override, and (c) the fallback policy when no compiler is available
 // or a program has no flat-argument-block layout.
 //
 // Every test that needs the system compiler GTEST_SKIPs without one.
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -27,17 +27,20 @@
 #include "interp/machine.hpp"
 #include "jit/cache.hpp"
 #include "support/strings.hpp"
-#include "support/subprocess.hpp"
+#include "testing/native.hpp"
 #include "testing/programs.hpp"
 #include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
-bool have_cc() { return cc_available("cc"); }
-
-using testing::ScopedTempDir;
+using testing::compare_all_globals;
+using testing::Equality;
+using testing::expect_bit_equal;
+using testing::have_cc;
+using testing::require_native;
 using testing::ScopedEnv;
+using testing::ScopedTempDir;
 
 InterpOptions native_opts() {
   InterpOptions o;
@@ -49,18 +52,6 @@ InterpOptions plan_opts() {
   InterpOptions o;
   o.engine = ExecEngine::kPlan;
   return o;
-}
-
-void expect_bit_equal(double a, double b, const std::string& what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
-      << what << ": plan " << a << " vs native " << b;
-}
-
-/// Assert the machine actually loaded its kernel (tests that exist to
-/// prove native execution must not silently pass through the fallback).
-void require_native(const Machine& m) {
-  ASSERT_TRUE(m.native_report().available)
-      << "native engine unavailable: " << m.native_report().fallback_reason;
 }
 
 // ---- bit-identical semantics ----------------------------------------------
@@ -222,19 +213,6 @@ TEST(NativeVsPlan, WholeArrayStateBitIdentical) {
 
 // ---- example kernels --------------------------------------------------------
 
-void compare_all_globals(Machine& pl, Machine& nat) {
-  for (const GridId id : pl.program().global_grids) {
-    const Grid& g = pl.program().grid(id);
-    if (g.is_struct()) continue;
-    const std::vector<double> a = pl.array(g.name).value();
-    const std::vector<double> b = nat.array(g.name).value();
-    ASSERT_EQ(a.size(), b.size()) << g.name;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      expect_bit_equal(a[i], b[i], cat(g.name, "[", i, "]"));
-    }
-  }
-}
-
 TEST(NativeExamples, SarbTable1SubroutinesBitIdentical) {
   if (!have_cc()) GTEST_SKIP() << "no system compiler";
   const Program sarb = fuliou::build_sarb_program();
@@ -250,7 +228,7 @@ TEST(NativeExamples, SarbTable1SubroutinesBitIdentical) {
       ASSERT_TRUE(m->call(name).is_ok()) << name;
     }
     EXPECT_GT(nat.native_report().native_calls, 0u) << name;
-    compare_all_globals(pl, nat);
+    compare_all_globals(pl, nat, "plan vs native", Equality::kBits);
   }
 }
 
@@ -283,8 +261,35 @@ TEST(NativeExamples, Fun3dKernelsBitIdentical) {
       ASSERT_TRUE(m->call(name).is_ok()) << name;
     }
     EXPECT_GT(nat.native_report().native_calls, 0u) << name;
-    compare_all_globals(pl, nat);
+    compare_all_globals(pl, nat, "plan vs native", Equality::kBits);
   }
+}
+
+// ---- host bindings ----------------------------------------------------------
+
+TEST(NativeBindings, InputsSetBetweenCallsReachTheKernel) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  // The Machine resolves the kernel's slot table once, at construction;
+  // it must keep pointing at the live global storage, so inputs set
+  // between two calls are what the second call reads.
+  const Program p = testing::saxpy_program();
+  Machine pl(p, plan_opts());
+  Machine nat(p, native_opts());
+  require_native(nat);
+  const std::vector<double> x1 = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::vector<double> x2 = {0.5, -1.25, 3.75, 1e-3, -7, 2.5, 9, -0.125};
+  const std::vector<double> y2 = {3, -1, 0.25, 8, 1.5, -2, 4, 6};
+  for (Machine* m : {&pl, &nat}) {
+    ASSERT_TRUE(m->set_scalar("a", 1.5).is_ok());
+    ASSERT_TRUE(m->set_array("x", x1).is_ok());
+    ASSERT_TRUE(m->call("saxpy").is_ok());
+    ASSERT_TRUE(m->set_scalar("a", -0.3).is_ok());
+    ASSERT_TRUE(m->set_array("x", x2).is_ok());
+    ASSERT_TRUE(m->set_array("y", y2).is_ok());
+    ASSERT_TRUE(m->call("saxpy").is_ok());
+  }
+  EXPECT_EQ(nat.native_report().native_calls, 2u);
+  compare_all_globals(pl, nat, "second call", Equality::kBits);
 }
 
 // ---- kernel cache -----------------------------------------------------------

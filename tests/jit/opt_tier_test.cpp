@@ -24,11 +24,13 @@
 #include "support/strings.hpp"
 #include "support/subprocess.hpp"
 #include "support/ulp.hpp"
+#include "testing/native.hpp"
 
 namespace glaf {
 namespace {
 
-bool have_cc() { return cc_available("cc"); }
+using testing::have_cc;
+using testing::require_native;
 
 InterpOptions plan_opts() {
   InterpOptions o;
@@ -41,11 +43,6 @@ InterpOptions opt_opts() {
   o.engine = ExecEngine::kNative;
   o.native_model = NumericModel::kOpt;
   return o;
-}
-
-void require_native(const Machine& m) {
-  ASSERT_TRUE(m.native_report().available)
-      << "native engine unavailable: " << m.native_report().fallback_reason;
 }
 
 /// Per-kernel budgets for the SARB Table-1 subroutines. The wide-band

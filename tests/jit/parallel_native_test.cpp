@@ -8,15 +8,15 @@
 // decomposition (edgejp drives all five §4.2 sub-functions) under
 // v0..v3; integer sum/min/max reduction ordering; ownership-banded
 // float accumulation; float reductions staying serial; 1-thread ==
-// N-thread; dynamic scheduling; serial/parallel cache coexistence; and
-// the forced-fallback path without a compiler.
+// N-thread; dynamic scheduling; serial/parallel cache coexistence and
+// static/dynamic schedules sharing one cached object; and the
+// forced-fallback path without a compiler.
 //
 // Equality is value equality (== with NaN==NaN), not bit_cast: the
 // rank-ordered combine adds each rank's scratch to the target, and
 // `x + 0.0` canonicalizes -0.0 to +0.0 — a representation change with
 // no value change, exactly what the fuzz oracle's exact legs accept.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -34,17 +34,21 @@
 #include "interp/machine.hpp"
 #include "jit/cache.hpp"
 #include "support/strings.hpp"
-#include "support/subprocess.hpp"
+#include "testing/native.hpp"
 #include "testing/programs.hpp"
 #include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
-bool have_cc() { return cc_available("cc"); }
-
-using testing::ScopedTempDir;
+using testing::compare_all_globals;
+using testing::Equality;
+using testing::expect_value_equal;
+using testing::have_cc;
+using testing::kAllPolicies;
+using testing::require_native;
 using testing::ScopedEnv;
+using testing::ScopedTempDir;
 
 InterpOptions serial_native() {
   InterpOptions o;
@@ -75,36 +79,6 @@ InterpOptions parallel_plan_det(DirectivePolicy policy, int threads = 4) {
   o.policy = policy;
   o.deterministic_parallel = true;
   return o;
-}
-
-constexpr DirectivePolicy kAllPolicies[] = {
-    DirectivePolicy::kV0, DirectivePolicy::kV1, DirectivePolicy::kV2,
-    DirectivePolicy::kV3};
-
-/// Value equality with NaN==NaN (see the file comment for why this is
-/// the right comparator, not bit_cast).
-void expect_value_equal(double a, double b, const std::string& what) {
-  if (std::isnan(a) && std::isnan(b)) return;
-  EXPECT_TRUE(a == b) << what << ": reference " << a << " vs " << b;
-}
-
-void require_native(const Machine& m) {
-  ASSERT_TRUE(m.native_report().available)
-      << "native engine unavailable: " << m.native_report().fallback_reason;
-}
-
-void compare_all_globals(Machine& reference, Machine& other,
-                         const std::string& tag) {
-  for (const GridId id : reference.program().global_grids) {
-    const Grid& g = reference.program().grid(id);
-    if (g.is_struct()) continue;
-    const std::vector<double> a = reference.array(g.name).value();
-    const std::vector<double> b = other.array(g.name).value();
-    ASSERT_EQ(a.size(), b.size()) << tag << ": " << g.name;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      expect_value_equal(a[i], b[i], cat(tag, ": ", g.name, "[", i, "]"));
-    }
-  }
 }
 
 // ---- case-study kernels -----------------------------------------------------
@@ -433,6 +407,44 @@ TEST(ParallelNativeCache, SerialAndParallelObjectsCoexist) {
   require_native(par2);
   EXPECT_TRUE(serial2.native_report().cache_hit);
   EXPECT_TRUE(par2.native_report().cache_hit);
+}
+
+TEST(ParallelNativeCache, StaticAndDynamicSchedulesShareOneObject) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const ScopedTempDir tmp("schedule");
+  const ScopedEnv env("GLAF_KERNEL_CACHE", tmp.path());
+  // The schedule and its chunk are applied when the kernel loads and
+  // never reach the emitted source, so they are not part of the cache
+  // key: both schedules load the one parallel object.
+  const Program p = ownership_program();
+  Machine serial(p, serial_native());
+  Machine stat(p, parallel_native(DirectivePolicy::kV0));
+  InterpOptions dyn_opts = parallel_native(DirectivePolicy::kV0, 4, true);
+  dyn_opts.schedule_chunk = 3;
+  Machine dyn(p, dyn_opts);
+  require_native(serial);
+  require_native(stat);
+  require_native(dyn);
+  EXPECT_NE(serial.native_report().object_path,
+            stat.native_report().object_path);
+  EXPECT_FALSE(stat.native_report().cache_hit);
+  EXPECT_EQ(stat.native_report().object_path,
+            dyn.native_report().object_path);
+  EXPECT_TRUE(dyn.native_report().cache_hit);
+
+  std::vector<double> w_in(8 * 16);
+  for (std::size_t i = 0; i < w_in.size(); ++i) {
+    w_in[i] = 1.0 / (7.0 + static_cast<double>(i));
+  }
+  for (Machine* m : {&serial, &stat, &dyn}) {
+    ASSERT_TRUE(m->set_array("w", w_in).is_ok());
+    ASSERT_TRUE(m->call("f").is_ok());
+  }
+  EXPECT_GT(stat.native_report().parallel_regions, 0u);
+  EXPECT_GT(dyn.native_report().parallel_regions, 0u);
+  // No reduction combine runs here, so even the sign of zero must hold.
+  compare_all_globals(serial, stat, "static", Equality::kBits);
+  compare_all_globals(serial, dyn, "dynamic", Equality::kBits);
 }
 
 TEST(ParallelNativeCache, KeySeparatesEngineConfig) {

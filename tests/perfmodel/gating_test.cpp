@@ -20,23 +20,22 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/plan_profit.hpp"
 #include "core/builder.hpp"
 #include "interp/machine.hpp"
 #include "jit/engine.hpp"
 #include "perfmodel/calibrate.hpp"
-#include "perfmodel/machine_model.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/strings.hpp"
-#include "support/subprocess.hpp"
+#include "testing/native.hpp"
 #include "testing/scoped.hpp"
 
 namespace glaf {
 namespace {
 
-bool have_cc() { return cc_available("cc"); }
-
-using testing::ScopedTempDir;
+using testing::have_cc;
 using testing::ScopedEnv;
+using testing::ScopedTempDir;
 
 /// The shape that motivated the gate: smooth_q's neighbour average over
 /// a handful of nodes — parallelizable, bit-exact, and far too small to
