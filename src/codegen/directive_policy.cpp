@@ -39,6 +39,15 @@ const char* to_string(DirectivePolicy policy) {
   return "?";
 }
 
+std::optional<DirectivePolicy> parse_policy(std::string_view name) {
+  for (const DirectivePolicy policy :
+       {DirectivePolicy::kV0, DirectivePolicy::kV1, DirectivePolicy::kV2,
+        DirectivePolicy::kV3}) {
+    if (name == to_string(policy)) return policy;
+  }
+  return std::nullopt;
+}
+
 bool keep_directive(DirectivePolicy policy, const StepVerdict& verdict) {
   if (!verdict.has_loop || !verdict.parallelizable) return false;
   switch (verdict.loop_class) {

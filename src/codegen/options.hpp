@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace glaf {
@@ -24,6 +26,8 @@ const char* to_string(Language lang);
 enum class DirectivePolicy : std::uint8_t { kV0, kV1, kV2, kV3 };
 
 const char* to_string(DirectivePolicy policy);
+/// The inverse of to_string: "v0".."v3", or nullopt for any other name.
+std::optional<DirectivePolicy> parse_policy(std::string_view name);
 
 /// OpenMP loop schedule emitted on parallel loops.
 enum class OmpSchedule : std::uint8_t {

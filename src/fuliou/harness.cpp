@@ -1,5 +1,7 @@
 #include "fuliou/harness.hpp"
 
+#include <utility>
+
 namespace glaf::fuliou {
 
 namespace {
@@ -30,8 +32,8 @@ Status load_profile(Machine& machine, const AtmosphereProfile& profile) {
 SarbOutputs extract_outputs(const Machine& machine) {
   SarbOutputs out;
   const auto grab = [&](const std::string& name, std::vector<double>* dst) {
-    const auto v = machine.array(name);
-    if (v.is_ok()) *dst = v.value();
+    auto v = machine.array(name);
+    if (v.is_ok()) *dst = std::move(v).value();
   };
   grab("planck", &out.planck);
   grab("lw_flux", &out.lw_flux);

@@ -9,16 +9,18 @@
 //   4. the native JIT engine (src/jit) running the kernel in-process —
 //      compared *bitwise* against the reference, since interp_math
 //      emission promises bit-identical arithmetic,
-//   5. (opt-in) the *parallel* native kernel under each policy, plus the
-//      plan engine in deterministic-parallel mode — also compared
-//      bitwise: threaded bit-exact steps must not change a single bit,
+//   5. (opt-in) the *parallel* native kernel under each policy, exactly
+//      as Machine builds it (fused regions) — also compared bitwise:
+//      threaded bit-exact steps must not change a single bit,
 //   6. the generated C translation unit compiled with the system
 //      compiler and run in a subprocess,
 //   7. (opt-in) the opt-tier native kernel — typed storage, restrict,
 //      -O3 with contraction — compared under a per-element ulp budget
 //      instead of bitwise, the numeric contract that tier advertises,
 //
-// and every Global Scope grid is compared element-wise afterwards.
+// and every Global Scope grid is compared element-wise afterwards. Each
+// backend is one row of a leg table (name, Machine options or compiled
+// C, comparator) run by a single loop.
 // Agreement is |a-b| <= atol + rtol*max(|a|,|b|), with NaN==NaN; exact
 // backends match bitwise, while parallel reduction merges may
 // reassociate within the tolerance.
@@ -48,20 +50,12 @@ struct OracleOptions {
   /// In-process native JIT leg (gated on cc availability, like the C
   /// backend, but with no subprocess round-trip). Compared bitwise.
   bool run_native = true;
-  /// Parallel native legs ("parallel-vK-native"), one per policy, plus
-  /// deterministic parallel plan legs ("parallel-vK-plan-det") — every
-  /// one held to bitwise equality against the serial reference (and so,
-  /// transitively, against the serial native kernel and each other).
-  /// Off by default: each policy costs an extra kernel compile.
-  /// These legs run with region fusion *off* — per-step dispatch, the
-  /// historical ABI-v2 shape.
+  /// Parallel native legs ("parallel-vK-native"), one per policy: the
+  /// fused-region kernel Machine builds, each held to bitwise equality
+  /// against the serial reference (and so, transitively, against the
+  /// serial native kernel and each other). Off by default: each policy
+  /// costs an extra kernel compile.
   bool run_native_parallel = false;
-  /// Fused-region parallel native legs ("parallel-vK-fused-native"):
-  /// the same kernels with adjacent fusable steps merged into single
-  /// range entry points (ABI v3), also compared bitwise. Together with
-  /// run_native_parallel this differentially pins fusion as a pure
-  /// dispatch-cost optimization. Off by default (extra compiles).
-  bool run_native_fused = false;
   /// Opt-tier native leg ("native-opt"): the same program JIT-compiled
   /// under NumericModel::kOpt — typed storage, restrict pointers,
   /// -O3 -ffp-contract=fast -march=native. Unlike every other native

@@ -447,7 +447,6 @@ jit::NativeEngine::Options native_engine_options(const InterpOptions& options,
   nopts.save_temporaries = options.save_temporaries;
   nopts.dynamic_schedule = options.dynamic_schedule;
   nopts.schedule_chunk = options.schedule_chunk;
-  nopts.fuse_regions = options.fuse_regions;
   nopts.gate_min_units = options.gate_min_units;
   nopts.pool = pool;
   nopts.cc = options.native_cc;

@@ -113,7 +113,10 @@ struct InterpOptions {
   ExecEngine engine = ExecEngine::kPlan;
   /// Run directive-kept steps in parallel on kPlan and kNative. The
   /// tree-walk is the serial reference: under kTreeWalk every step runs
-  /// serially whatever this flag says.
+  /// serially whatever this flag says. kNative threads only steps proved
+  /// bitwise deterministic (StepVerdict::bit_exact, no ownership band),
+  /// in its kernel and in its per-call plan fallback alike, so a native
+  /// machine is bit-identical to serial whether or not the kernel ran.
   bool parallel = false;
   int num_threads = 4;
   DirectivePolicy policy = DirectivePolicy::kV0;
@@ -128,20 +131,10 @@ struct InterpOptions {
   /// default static partition.
   bool dynamic_schedule = false;
   std::int64_t schedule_chunk = 4;
-  /// Restrict parallel execution to steps the analysis proved bitwise
-  /// deterministic (StepVerdict::bit_exact without an ownership-band
-  /// constraint); everything else runs serially. Results are then
-  /// bit-identical to a serial run at any thread count — the contract
-  /// the parallel native engine provides by construction, surfaced here
-  /// so parallel plan legs can be held to exact equality too.
-  bool deterministic_parallel = false;
   /// kNative: compiler command ("" resolves $GLAF_CC, then "cc") and
   /// kernel-cache directory ("" resolves $GLAF_KERNEL_CACHE / XDG).
   std::string native_cc;
   std::string native_cache_dir;
-  /// kNative parallel kernels: fuse adjacent fusable steps into single
-  /// region dispatches (one fork/join per region instead of per step).
-  bool fuse_regions = true;
   /// kNative parallel kernels: profit-gate threshold in work units
   /// (NativeEngine::Options::gate_min_units; -1 = calibrated auto,
   /// 0 = always dispatch).

@@ -425,9 +425,10 @@ double PlanExecutor::call_function(const FunctionPlan& plan,
         m_.options_.parallel && !in_parallel_region && verdict != nullptr &&
         verdict->has_loop && !verdict->needs_critical &&
         keep_directive(m_.options_.policy, *verdict) && m_.pool_ != nullptr &&
-        // Deterministic mode: thread only steps proved bitwise identical
-        // to serial under a flat partition (see InterpOptions).
-        (!m_.options_.deterministic_parallel ||
+        // A native machine's fallback keeps the kernel's contract: thread
+        // only steps proved bitwise identical to serial under a flat
+        // partition (see InterpOptions::parallel).
+        (m_.options_.engine != ExecEngine::kNative ||
          (verdict->bit_exact && verdict->exact_partition_dim < 0));
     const std::uint64_t iterations_before = stats.loop_iterations;
     if (parallel) {

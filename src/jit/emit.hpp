@@ -73,7 +73,10 @@ struct EmitOptions {
   bool save_temporaries = false;
   /// Fuse adjacent fusable ranged steps into single region entry points
   /// (codegen fuse_regions); changes the emitted source, so the engine
-  /// also folds it into the cache key.
+  /// also folds it into the cache key. Machine always builds fused
+  /// kernels and never sets this; it stays settable for the emitter's
+  /// region-plan tests and for perfbench's compile-path layer, which
+  /// copies it field by field.
   bool fuse_regions = true;
   /// Host-side dispatch knobs. They never reach the emitted source: the
   /// engine applies them when it loads the kernel, so they are not part

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -65,9 +66,17 @@ void pfor_trampoline(void* hctx, RangeFn fn, void* ctx, long n) {
 
 /// Copy the published object to a private temp file and dlopen that
 /// (see the header: per-engine static state), unlinking immediately so
-/// the copy lives exactly as long as the handle.
+/// the copy lives exactly as long as the handle. The copy goes to the
+/// temp directory ($TMPDIR, else /tmp).
 StatusOr<void*> open_private_copy(const std::string& object_path) {
-  std::string copy_path = cat("/tmp/glaf_nat_", getpid(), "_XXXXXX");
+  std::error_code ec;
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
+  if (ec) {
+    return internal_error(cat("no temp directory for the private kernel"
+                              " copy: ", ec.message()));
+  }
+  std::string copy_path =
+      (tmp / cat("glaf_nat_", getpid(), "_XXXXXX")).string();
   const int fd = mkstemp(copy_path.data());
   if (fd < 0) return internal_error("cannot create private kernel copy");
   {

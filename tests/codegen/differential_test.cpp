@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -16,9 +17,12 @@
 #include "interp/machine.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "testing/native.hpp"
 
 namespace glaf {
 namespace {
+
+using testing::have_cc;
 
 constexpr int kInputs = 8;
 constexpr int kOutputs = 64;
@@ -51,9 +55,7 @@ E random_expr(SplitMix64& rng, const std::vector<GridHandle>& inputs,
 }
 
 TEST(Differential, RandomExpressionsAgreeBetweenInterpreterAndC) {
-  if (std::system("cc --version > /dev/null 2>&1") != 0) {
-    GTEST_SKIP() << "no system C compiler";
-  }
+  if (!have_cc()) GTEST_SKIP() << "no system C compiler";
   SplitMix64 rng(20260707);
 
   ProgramBuilder pb("fuzz_mod");

@@ -50,11 +50,9 @@ TEST_P(CorpusReplay, AgreesAcrossBackends) {
   OracleOptions opts;
   opts.run_compiled_c = cc_available(opts.cc);
   // Replay each repro through the parallel native legs too: every
-  // directive policy, threaded kernels held bitwise to serial native
-  // and to the deterministic parallel plan engine — both per-step
-  // (unfused) and with fused region dispatch.
+  // directive policy, the fused-region kernels Machine builds held
+  // bitwise to the serial reference.
   opts.run_native_parallel = opts.run_compiled_c;
-  opts.run_native_fused = opts.run_compiled_c;
   auto loaded = load_repro(GetParam());
   ASSERT_TRUE(loaded.is_ok()) << GetParam();
   auto entry = find_entry(loaded.value());
@@ -70,12 +68,14 @@ TEST_P(CorpusReplay, AgreesAcrossBackends) {
               : report.errors[0]);
   // Serial plan + 4 policies x parallel plan = 5 interpreter legs, plus
   // the native-JIT and compiled-C backends and 4 policies x
-  // {parallel-native, parallel-plan-det, parallel-fused-native} when a
-  // system compiler is present (those gate on the same cc probe):
-  // 5 + 2 + 12 = 19. The floors were 26/12 while the tree-walk had 4
-  // parallel legs and policy v4 had 3 profile-guided legs; 26 - 7 = 19
-  // and 12 - 7 = 5.
-  EXPECT_GE(report.backends_compared, opts.run_compiled_c ? 19 : 5);
+  // parallel-native when a system compiler is present (those gate on
+  // the same cc probe): 5 + 2 + 4 = 11. The floor was 19 while the
+  // oracle also ran 4 deterministic parallel-plan legs and 4 unfused
+  // parallel-native legs; Machine no longer has the two switches those
+  // legs exercised (deterministic_parallel, fuse_regions = false), so
+  // 19 - 8 = 11. Before that it was 26/12, with 4 parallel tree-walk
+  // legs and 3 policy-v4 legs.
+  EXPECT_GE(report.backends_compared, opts.run_compiled_c ? 11 : 5);
   EXPECT_EQ(report.native_backend_ran, opts.run_compiled_c) << GetParam();
 }
 

@@ -10,10 +10,12 @@
 //    dimensions split; a step consuming a reduction target splits while
 //    independent exact reductions fuse;
 //
-//  - *differential bit-identity*: fused, unfused and serial kernels must
-//    agree bitwise on the SARB Table-1 subroutines and the FUN3D
-//    decomposition under every directive policy, and at 1 == N threads —
-//    fusion is a pure dispatch-cost optimization, never a semantic one.
+//  - *differential bit-identity*: the fused kernels Machine builds must
+//    agree bitwise with the serial kernel on the SARB Table-1
+//    subroutines and the FUN3D decomposition under every directive
+//    policy, and at 1 == N threads — fusion is a pure dispatch-cost
+//    optimization, never a semantic one. Unfused region plans are
+//    covered at the emitter level (regions_of(p, false)).
 
 #include <cstdint>
 #include <cstdlib>
@@ -52,14 +54,12 @@ InterpOptions serial_native() {
 
 /// Parallel native with the profit gate off: these tests compare the
 /// dispatch paths themselves, so nothing may be diverted to serial.
-InterpOptions parallel_native(DirectivePolicy policy, bool fuse,
-                              int threads = 4) {
+InterpOptions parallel_native(DirectivePolicy policy, int threads = 4) {
   InterpOptions o;
   o.engine = ExecEngine::kNative;
   o.parallel = true;
   o.num_threads = threads;
   o.policy = policy;
-  o.fuse_regions = fuse;
   o.gate_min_units = 0;
   return o;
 }
@@ -302,18 +302,15 @@ TEST(FusedRegionDifferential, SarbTable1BitIdenticalFusedUnfusedSerial) {
       if (fn == nullptr || !fn->params.empty()) continue;
       const std::string tag = cat(name, "/", to_string(policy));
       Machine serial(sarb, serial_native());
-      Machine fused(sarb, parallel_native(policy, true));
-      Machine unfused(sarb, parallel_native(policy, false));
+      Machine fused(sarb, parallel_native(policy));
       require_native(serial);
       require_native(fused);
-      require_native(unfused);
-      for (Machine* m : {&serial, &fused, &unfused}) {
+      for (Machine* m : {&serial, &fused}) {
         ASSERT_TRUE(fuliou::load_profile(*m, profile).is_ok()) << tag;
         ASSERT_TRUE(m->call(name).is_ok()) << tag;
       }
       EXPECT_EQ(fused.native_report().gated_serial_regions, 0u) << tag;
       compare_all_globals(serial, fused, cat(tag, " fused"));
-      compare_all_globals(serial, unfused, cat(tag, " unfused"));
     }
   }
 }
@@ -327,17 +324,14 @@ TEST(FusedRegionDifferential, Fun3dEdgejpBitIdenticalFusedUnfusedSerial) {
   for (const DirectivePolicy policy : kAllPolicies) {
     const std::string tag = cat("edgejp/", to_string(policy));
     Machine serial(p, serial_native());
-    Machine fused(p, parallel_native(policy, true));
-    Machine unfused(p, parallel_native(policy, false));
+    Machine fused(p, parallel_native(policy));
     require_native(serial);
     require_native(fused);
-    require_native(unfused);
-    for (Machine* m : {&serial, &fused, &unfused}) {
+    for (Machine* m : {&serial, &fused}) {
       ASSERT_TRUE(fun3d::load_mesh(*m, mesh).is_ok()) << tag;
       ASSERT_TRUE(m->call("edgejp").is_ok()) << tag;
     }
     compare_all_globals(serial, fused, cat(tag, " fused"));
-    compare_all_globals(serial, unfused, cat(tag, " unfused"));
   }
 }
 
@@ -347,8 +341,8 @@ TEST(FusedRegionDifferential, OneThreadEqualsEightThreadsFused) {
   const ScopedEnv env("GLAF_KERNEL_CACHE", cache_dir.path());
   const Program sarb = fuliou::build_sarb_program();
   const fuliou::AtmosphereProfile profile = fuliou::make_profile(11);
-  Machine one(sarb, parallel_native(DirectivePolicy::kV0, true, 1));
-  Machine eight(sarb, parallel_native(DirectivePolicy::kV0, true, 8));
+  Machine one(sarb, parallel_native(DirectivePolicy::kV0, 1));
+  Machine eight(sarb, parallel_native(DirectivePolicy::kV0, 8));
   for (Machine* m : {&one, &eight}) {
     require_native(*m);
     ASSERT_TRUE(fuliou::load_profile(*m, profile).is_ok());
@@ -383,12 +377,10 @@ TEST(FusedRegionDifferential, FusedKernelReportsRegionMetadata) {
   for (int i = 0; i < 32; ++i) x_in[static_cast<std::size_t>(i)] = 0.5 * i;
 
   Machine serial(p, serial_native());
-  Machine fused(p, parallel_native(DirectivePolicy::kV0, true));
-  Machine unfused(p, parallel_native(DirectivePolicy::kV0, false));
+  Machine fused(p, parallel_native(DirectivePolicy::kV0));
   require_native(serial);
   require_native(fused);
-  require_native(unfused);
-  for (Machine* m : {&serial, &fused, &unfused}) {
+  for (Machine* m : {&serial, &fused}) {
     ASSERT_TRUE(m->set_scalar("a", 1.5).is_ok());
     ASSERT_TRUE(m->set_array("x", x_in).is_ok());
     ASSERT_TRUE(m->call("f").is_ok());
@@ -397,11 +389,7 @@ TEST(FusedRegionDifferential, FusedKernelReportsRegionMetadata) {
   EXPECT_EQ(fused.native_report().regions_fused, 1u);
   EXPECT_EQ(fused.native_report().parallel_regions, 1u)
       << "one fork/join for the fused pair";
-  EXPECT_EQ(unfused.native_report().regions_total, 2u);
-  EXPECT_EQ(unfused.native_report().regions_fused, 0u);
-  EXPECT_EQ(unfused.native_report().parallel_regions, 2u);
   compare_all_globals(serial, fused, "fused");
-  compare_all_globals(serial, unfused, "unfused");
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 // engine on the drift-prone semantics (integer DIV/MOD truncation, NaN
 // through MIN/MAX, INTEGER-store truncation) and on the checked-in
 // example kernels (SARB Table 1, FUN3D) and across inputs set between
-// two calls on one machine, (b) the kernel cache's
-// cold/warm compile behaviour, corruption recovery and directory
-// override, and (c) the fallback policy when no compiler is available
+// two calls on one machine, plus the interp tier's copy masks at the
+// ABI boundary, (b) the kernel cache's cold/warm compile behaviour,
+// corruption recovery, directory override and the TMPDIR-placed private
+// kernel copy, and (c) the fallback policy when no compiler is available
 // or a program has no flat-argument-block layout.
 //
 // Every test that needs the system compiler GTEST_SKIPs without one.
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -26,6 +28,7 @@
 #include "fun3d/glaf_fun3d.hpp"
 #include "interp/machine.hpp"
 #include "jit/cache.hpp"
+#include "jit/emit.hpp"
 #include "support/strings.hpp"
 #include "testing/native.hpp"
 #include "testing/programs.hpp"
@@ -292,6 +295,25 @@ TEST(NativeBindings, InputsSetBetweenCallsReachTheKernel) {
   compare_all_globals(pl, nat, "second call", Equality::kBits);
 }
 
+TEST(NativeBindings, InterpTierWrappersCopyOnlyTouchedGlobals) {
+  // Both tiers pass per-entry slot masks to copy-in/copy-out: saxpy
+  // reads n, a, x and y but writes only y, so only y is copied back.
+  const Program p = testing::saxpy_program();
+  jit::EmitOptions eo;
+  ASSERT_EQ(eo.model, NumericModel::kInterp);
+  StatusOr<jit::KernelUnit> unit =
+      jit::emit_kernel_unit(p, analyze_program(p), eo);
+  ASSERT_TRUE(unit.is_ok()) << unit.status().message();
+  const std::string& src = unit.value().source;
+  for (const char* needle :
+       {"glaf_nat_touch_glaf_nat_call_saxpy[] = {1,1,1,1};",
+        "glaf_nat_write_glaf_nat_call_saxpy[] = {0,0,0,1};",
+        "glaf_nat_copy_in(glaf_nat_a, glaf_nat_touch_glaf_nat_call_saxpy);",
+        "glaf_nat_copy_out(glaf_nat_a, glaf_nat_write_glaf_nat_call_saxpy);"}) {
+    EXPECT_NE(src.find(needle), std::string::npos) << needle;
+  }
+}
+
 // ---- kernel cache -----------------------------------------------------------
 
 TEST(KernelCache, SecondBindSkipsCompilation) {
@@ -365,6 +387,31 @@ TEST(KernelCache, EnvironmentOverrideRedirectsTheDirectory) {
   require_native(m);
   EXPECT_EQ(m.native_report().object_path.rfind(dir + "/", 0), 0u)
       << "object " << m.native_report().object_path << " not under " << dir;
+}
+
+TEST(KernelCache, PrivateCopyGoesToTmpdirAndIsUnlinked) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const ScopedTempDir cache_dir("tmpdir_cache");
+  const ScopedEnv cache_env("GLAF_KERNEL_CACHE", cache_dir.path());
+  const ScopedTempDir tmp("tmpdir");
+  const Program p = testing::saxpy_program();
+  {
+    const ScopedEnv env("TMPDIR", tmp.path());
+    Machine m(p, native_opts());
+    require_native(m);
+    ASSERT_TRUE(m.call("saxpy").is_ok());
+    EXPECT_EQ(m.native_report().native_calls, 1u);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(tmp.path()))
+      << "the private kernel copy must be unlinked once loaded";
+  // A TMPDIR that is not a directory leaves nowhere for the copy: the
+  // kernel compiles but cannot load, so the machine falls back to plans.
+  const ScopedEnv env("TMPDIR", tmp.path() + "/missing");
+  Machine m(p, native_opts());
+  EXPECT_FALSE(m.native_report().available);
+  EXPECT_NE(m.native_report().fallback_reason.find("temp directory"),
+            std::string::npos)
+      << m.native_report().fallback_reason;
 }
 
 TEST(KernelCache, KeySeparatesSourceCompilerAndFlags) {

@@ -20,12 +20,10 @@
 //                                      runs the plan-engine legs against the
 //                                      serial tree-walk; native runs only the
 //                                      in-process JIT leg (no subprocess C)
-//   glaf-fuzz --parallel               add the parallel-native + deterministic
-//                                      parallel-plan legs, held to bitwise
-//                                      equality under every selected policy
-//   glaf-fuzz --fuse                   add the fused-region parallel-native
-//                                      legs (ABI v3: adjacent fusable steps
-//                                      share one fork/join), also bitwise
+//   glaf-fuzz --parallel               add the parallel-native legs (the
+//                                      fused-region kernels Machine builds),
+//                                      held to bitwise equality under every
+//                                      selected policy
 //   glaf-fuzz --policies=all|v0,v2,..  directive policies for those legs
 //                                      (default all of v0..v3)
 //   glaf-fuzz --emit=opt               add the opt-tier native leg (typed
@@ -48,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -83,7 +82,7 @@ void usage(const char* argv0) {
                "usage: %s [--seeds A:B] [--time-budget SECONDS] [--shrink]\n"
                "          [--repro-dir DIR] [--replay FILE] [--dump-seed N]\n"
                "          [--threads N] [--rtol X] [--atol X] [--no-cc]\n"
-               "          [--no-native] [--no-parallel] [--parallel] [--fuse]\n"
+               "          [--no-native] [--no-parallel] [--parallel]\n"
                "          [--policies=all|v0,v1,...] [--engine=plan|native]\n"
                "          [--emit=interp|opt] [--max-ulp N]\n"
                "          [--opt-rtol X] [--opt-atol X]\n",
@@ -142,8 +141,6 @@ bool parse_args(int argc, char** argv, CliOptions* opts) {
       opts->oracle.run_parallel = false;
     } else if (arg == "--parallel") {
       opts->oracle.run_native_parallel = true;
-    } else if (arg == "--fuse") {
-      opts->oracle.run_native_fused = true;
     } else if (arg.rfind("--policies", 0) == 0) {
       std::string value;
       if (arg.size() > 10 && arg[10] == '=') {
@@ -162,18 +159,12 @@ bool parse_args(int argc, char** argv, CliOptions* opts) {
           const std::size_t comma = value.find(',', at);
           const std::string name = value.substr(
               at, comma == std::string::npos ? comma : comma - at);
-          if (name == "v0") {
-            policies.push_back(DirectivePolicy::kV0);
-          } else if (name == "v1") {
-            policies.push_back(DirectivePolicy::kV1);
-          } else if (name == "v2") {
-            policies.push_back(DirectivePolicy::kV2);
-          } else if (name == "v3") {
-            policies.push_back(DirectivePolicy::kV3);
-          } else {
+          const std::optional<DirectivePolicy> policy = parse_policy(name);
+          if (!policy) {
             std::fprintf(stderr, "unknown policy: %s\n", name.c_str());
             return false;
           }
+          policies.push_back(*policy);
           if (comma == std::string::npos) break;
           at = comma + 1;
         }
@@ -361,8 +352,7 @@ int main(int argc, char** argv) {
   }
 
   if ((opts.oracle.run_compiled_c || opts.oracle.run_native ||
-       opts.oracle.run_native_parallel || opts.oracle.run_native_fused ||
-       opts.oracle.run_native_opt) &&
+       opts.oracle.run_native_parallel || opts.oracle.run_native_opt) &&
       !cc_available(opts.oracle.cc)) {
     std::fprintf(stderr,
                  "note: compiler '%s' unavailable, skipping the C and"
@@ -371,7 +361,6 @@ int main(int argc, char** argv) {
     opts.oracle.run_compiled_c = false;
     opts.oracle.run_native = false;
     opts.oracle.run_native_parallel = false;
-    opts.oracle.run_native_fused = false;
     opts.oracle.run_native_opt = false;
   }
 

@@ -47,9 +47,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "codegen/options.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "support/cli.hpp"
@@ -82,12 +84,12 @@ StatusOr<serve::ExecConfig> parse_exec_config(const CliArgs& args) {
     return invalid_argument("unknown --tier '" + tier +
                             "' (plan|interp|opt)");
   }
-  const std::string policy = args.get("policy", "v0");
-  if (policy.size() != 2 || policy[0] != 'v' || policy[1] < '0' ||
-      policy[1] > '3') {
-    return invalid_argument("unknown --policy '" + policy + "' (v0..v3)");
+  const std::string name = args.get("policy", "v0");
+  const std::optional<DirectivePolicy> policy = parse_policy(name);
+  if (!policy) {
+    return invalid_argument("unknown --policy '" + name + "' (v0..v3)");
   }
-  config.policy = static_cast<std::uint8_t>(policy[1] - '0');
+  config.policy = static_cast<std::uint8_t>(*policy);
   config.portable = args.get_bool("portable", false);
   return config;
 }

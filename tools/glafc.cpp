@@ -39,12 +39,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "analysis/transform.hpp"
 #include "codegen/c.hpp"
 #include "codegen/fortran.hpp"
 #include "codegen/opencl.hpp"
+#include "codegen/options.hpp"
 #include "codegen/report.hpp"
 #include "core/serialize.hpp"
 #include "core/validate.hpp"
@@ -86,12 +88,13 @@ StatusOr<Program> load_program(const CliArgs& args) {
   return parse_program(text.str());
 }
 
-StatusOr<DirectivePolicy> parse_policy(const std::string& policy) {
-  if (policy == "v0") return DirectivePolicy::kV0;
-  if (policy == "v1") return DirectivePolicy::kV1;
-  if (policy == "v2") return DirectivePolicy::kV2;
-  if (policy == "v3") return DirectivePolicy::kV3;
-  return invalid_argument("unknown policy '" + policy + "' (v0..v3)");
+StatusOr<DirectivePolicy> policy_arg(const CliArgs& args) {
+  const std::string name = args.get("policy", "v0");
+  const std::optional<DirectivePolicy> policy = parse_policy(name);
+  if (!policy) {
+    return invalid_argument("unknown policy '" + name + "' (v0..v3)");
+  }
+  return *policy;
 }
 
 /// Execute the program on the interpreter (--run mode).
@@ -107,7 +110,7 @@ int run_program(const CliArgs& args, Program program) {
   } else {
     return fail("unknown --engine '" + engine + "' (plan|treewalk|native)");
   }
-  const auto policy = parse_policy(args.get("policy", "v0"));
+  const auto policy = policy_arg(args);
   if (!policy.is_ok()) return fail(policy.status().message());
   iopts.policy = policy.value();
   iopts.parallel = args.get_bool("parallel", false);
@@ -283,7 +286,7 @@ int main(int argc, char** argv) {
   }
 
   CodegenOptions opts;
-  const auto policy = parse_policy(args.get("policy", "v0"));
+  const auto policy = policy_arg(args);
   if (!policy.is_ok()) return fail(policy.status().message());
   opts.policy = policy.value();
   opts.enable_openmp = !args.get_bool("serial", false);
