@@ -139,9 +139,11 @@ int main(int argc, char** argv) {
       check_gate_arg.empty() ? 0.0 : std::stod(check_gate_arg);
 
   std::vector<KernelResult> results;
-  // Provenance of the opt-tier kernels (compiler identity and the exact
-  // flag set), recorded into the JSON so the checked-in numbers say what
-  // produced them. Filled by the last successful opt measurement.
+  // Provenance of the native kernels (compiler identity and the exact
+  // flag set of each tier), recorded into the JSON so the checked-in
+  // numbers say what produced them. Filled by the last successful serial
+  // measurement of each tier.
+  NativeReport interp_report;
   NativeReport opt_report;
 
   // --- SARB: the six Table 1 subroutines, inputs from a synthetic
@@ -169,7 +171,7 @@ int main(int argc, char** argv) {
                 min_seconds, load_sarb);
     r.serial_native_s =
         measure(sarb, engine_opts(ExecEngine::kNative, false, threads),
-                name, min_seconds, load_sarb);
+                name, min_seconds, load_sarb, &interp_report);
     r.serial_opt_s = measure(sarb, opt_tier_opts(threads), name, min_seconds,
                              load_sarb, &opt_report);
     r.parallel_plan_s =
@@ -219,7 +221,7 @@ int main(int argc, char** argv) {
                 min_seconds, load_f3d);
     r.serial_native_s =
         measure(f3d, engine_opts(ExecEngine::kNative, false, threads),
-                name, min_seconds, load_f3d);
+                name, min_seconds, load_f3d, &interp_report);
     r.serial_opt_s = measure(f3d, opt_tier_opts(threads), name, min_seconds,
                              load_f3d, &opt_report);
     r.parallel_plan_s =
@@ -382,6 +384,8 @@ int main(int argc, char** argv) {
   w.value(opt_report.compiler);
   w.key("compiler_version");
   w.value(opt_report.compiler_version);
+  w.key("interp_compile_flags");
+  w.value(interp_report.compile_flags);
   w.key("opt_compile_flags");
   w.value(opt_report.compile_flags);
   w.key("opt_host_key");

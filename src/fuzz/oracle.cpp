@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -337,9 +338,19 @@ StatusOr<std::string> find_entry(const Program& program) {
   return not_found("no zero-parameter subroutine to use as entry");
 }
 
+std::string default_work_dir() {
+  std::error_code ec;
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
+  return ec ? std::string() : tmp.string();
+}
+
 OracleReport run_oracle(const Program& program, const std::string& entry,
                         const OracleOptions& opts) {
   OracleReport report;
+  if (opts.work_dir.empty()) {
+    report.errors.push_back("no work directory: $TMPDIR is not a directory");
+    return report;
+  }
   StatusOr<std::vector<GlobalSpec>> specs = global_specs(program);
   if (!specs.is_ok()) {
     report.errors.push_back(std::string(specs.status().message()));

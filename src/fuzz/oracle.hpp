@@ -41,6 +41,10 @@
 
 namespace glaf::fuzz {
 
+/// $TMPDIR, else /tmp, as std::filesystem::temp_directory_path resolves
+/// it; empty when that is not a directory.
+std::string default_work_dir();
+
 struct OracleOptions {
   double rtol = 1e-9;
   double atol = 1e-9;
@@ -73,8 +77,11 @@ struct OracleOptions {
       DirectivePolicy::kV0, DirectivePolicy::kV1, DirectivePolicy::kV2,
       DirectivePolicy::kV3};
   std::string cc = "cc";        ///< system compiler command
-  std::string work_dir = "/tmp";
-  /// Kernel-cache directory for the native leg. Empty = a fuzz-private
+  /// Scratch directory for the C leg's source and binary, and for the
+  /// default native kernel cache. Empty (no temp directory) makes
+  /// run_oracle report an error instead of writing anywhere.
+  std::string work_dir = default_work_dir();
+  /// Kernel-cache directory for the native legs. Empty = a fuzz-private
   /// directory under work_dir, so one-off fuzz kernels never pollute the
   /// user's ~/.cache/glaf/kernels.
   std::string native_cache_dir;

@@ -126,6 +126,13 @@ StatusOr<CompiledKernel> NativeEngine::compile_object(
   // bit-identity; -fno-builtin because the compiler constant-folds libm
   // calls on literal arguments (correctly rounded via MPFR), which can
   // differ by an ulp from the runtime libm the interpreter calls.
+  // -fpeel-loops and -fvect-cost-model=dynamic let -O2 vectorize loops
+  // that need an epilogue (GCC's default -O2 "very-cheap" model skips
+  // them, leaving FUN3D's small constant loops as scalar divides). Both
+  // keep bit-identity: peeling only unrolls, and without
+  // -fassociative-math GCC vectorizes only lane-parallel IEEE ops, never
+  // an out-of-order FP reduction. -O3 would vectorize the same loops at
+  // a higher compile cost (DESIGN.md §7).
   // opt tier: the opposite trade — typed storage, -O3 with contraction
   // on, -fno-math-errno so libm calls vectorize, and -march=native
   // unless a portable object was requested. Its output is compared
@@ -134,7 +141,8 @@ StatusOr<CompiledKernel> NativeEngine::compile_object(
       opt_tier
           ? cat("-shared -fPIC -O3 -ffp-contract=fast -fno-math-errno",
                 portable ? "" : " -march=native")
-          : "-shared -fPIC -O2 -ffp-contract=off -fno-builtin";
+          : "-shared -fPIC -O2 -fpeel-loops -fvect-cost-model=dynamic"
+            " -ffp-contract=off -fno-builtin";
   // The emitted source already encodes the parallel partitioning, but
   // folding the emission configuration into the key as well keeps serial
   // and parallel objects (and per-policy / per-tier variants) as

@@ -12,6 +12,7 @@
 #include "core/validate.hpp"
 #include "fuzz/oracle.hpp"
 #include "fuzz/repro.hpp"
+#include "testing/scoped.hpp"
 
 namespace glaf::fuzz {
 namespace {
@@ -21,7 +22,7 @@ std::vector<std::string> corpus_paths() {
 }
 
 std::string corpus_case_name(
-    const testing::TestParamInfo<std::string>& info) {
+    const ::testing::TestParamInfo<std::string>& info) {
   std::string stem = info.param;
   const std::size_t slash = stem.find_last_of('/');
   if (slash != std::string::npos) stem = stem.substr(slash + 1);
@@ -37,7 +38,7 @@ TEST(FuzzCorpus, CorpusIsNotEmpty) {
   EXPECT_GE(corpus_paths().size(), 6u);
 }
 
-class CorpusReplay : public testing::TestWithParam<std::string> {};
+class CorpusReplay : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CorpusReplay, LoadsAndValidates) {
   auto loaded = load_repro(GetParam());
@@ -47,7 +48,9 @@ TEST_P(CorpusReplay, LoadsAndValidates) {
 }
 
 TEST_P(CorpusReplay, AgreesAcrossBackends) {
+  const glaf::testing::ScopedTempDir work("corpus");
   OracleOptions opts;
+  opts.work_dir = work.path();
   opts.run_compiled_c = cc_available(opts.cc);
   // Replay each repro through the parallel native legs too: every
   // directive policy, the fused-region kernels Machine builds held
@@ -80,7 +83,7 @@ TEST_P(CorpusReplay, AgreesAcrossBackends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusReplay,
-                         testing::ValuesIn(corpus_paths()),
+                         ::testing::ValuesIn(corpus_paths()),
                          corpus_case_name);
 
 }  // namespace

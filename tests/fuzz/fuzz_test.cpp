@@ -1,7 +1,10 @@
 // End-to-end differential-oracle properties (the slower, `fuzz`-labeled
 // suite): a bounded deterministic seed sweep must agree across every
-// backend, and an injected semantics bug in the C output must be caught
-// and shrunk to a small witness.
+// backend, an injected semantics bug in the C output must be caught
+// and shrunk to a small witness, and the native leg's kernels must land
+// under $TMPDIR. Every test compiles into its own temporary directory.
+
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -9,12 +12,18 @@
 #include "fuzz/generator.hpp"
 #include "fuzz/oracle.hpp"
 #include "fuzz/shrink.hpp"
+#include "testing/scoped.hpp"
 
 namespace glaf::fuzz {
 namespace {
 
+using glaf::testing::ScopedEnv;
+using glaf::testing::ScopedTempDir;
+
 TEST(FuzzOracle, BoundedSeedSweepAgrees) {
+  const ScopedTempDir work("fuzz_sweep");
   OracleOptions opts;
+  opts.work_dir = work.path();
   opts.run_compiled_c = cc_available(opts.cc);
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     auto generated = generate_program(seed);
@@ -37,7 +46,9 @@ TEST(FuzzOracle, OptTierLegAgreesUnderUlpBudget) {
   // The opt-tier leg (typed storage, -O3, contraction on) under its ulp
   // comparator, alongside the bitwise serial-native leg: the comparator
   // fork must hold both contracts in one oracle run.
+  const ScopedTempDir work("fuzz_opt");
   OracleOptions opts;
+  opts.work_dir = work.path();
   opts.run_parallel = false;
   opts.run_plan = false;
   opts.run_compiled_c = false;
@@ -66,7 +77,9 @@ TEST(FuzzOracle, InjectedCBugIsCaughtAndShrunk) {
   // Flip one operation in the emitted C: every sin() becomes cos().
   // Interpreter backends are untouched, so any program whose observable
   // output passes through SIN must diverge.
+  const ScopedTempDir work("fuzz_shrink");
   OracleOptions opts;
+  opts.work_dir = work.path();
   opts.run_parallel = false;  // serial vs broken-C is the fast signal
   opts.run_native = false;    // the bug is injected into the C leg only;
                               // skip one kernel build per shrink candidate
@@ -112,6 +125,33 @@ TEST(FuzzOracle, InjectedCBugIsCaughtAndShrunk) {
   EXPECT_FALSE(run_oracle(shrunk, entry, opts).divergences.empty());
   EXPECT_LE(count_statements(shrunk), 10);
   EXPECT_GT(stats.candidates_accepted, 0);
+}
+
+TEST(FuzzOracle, NativeKernelsFollowTmpdir) {
+  if (!cc_available("cc")) GTEST_SKIP() << "no C compiler available";
+  const ScopedTempDir tmp("fuzz_tmpdir");
+  const ScopedEnv env("TMPDIR", tmp.path());
+  OracleOptions opts;  // the default work_dir is read from $TMPDIR here
+  EXPECT_EQ(std::filesystem::path(opts.work_dir),
+            std::filesystem::path(tmp.path()));
+  opts.run_plan = false;
+  opts.run_compiled_c = false;
+  auto generated = generate_program(0);
+  ASSERT_TRUE(generated.is_ok());
+  const OracleReport report =
+      run_oracle(generated.value().program, generated.value().entry, opts);
+  EXPECT_TRUE(report.agreed());
+  ASSERT_TRUE(report.native_backend_ran);
+
+  // The kernel landed under $TMPDIR, not in a fixed /tmp directory.
+  int objects = 0;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(tmp.path()) / "glaf-fuzz-kernels", ec)) {
+    if (entry.path().extension() == ".so") ++objects;
+  }
+  EXPECT_FALSE(ec) << ec.message();
+  EXPECT_GT(objects, 0);
 }
 
 }  // namespace

@@ -261,8 +261,8 @@ TEST(FusedRegionPlan, UnitsPerIterScaleWithBodyCost) {
   // bodies, and inner (non-partitioned) loops multiply the estimate.
   ProgramBuilder pb("m");
   auto x = pb.global("x", DataType::kDouble, {E(64)});
-  auto w = pb.global("w", DataType::kDouble, {E(64), E(32)});
-  auto acc = pb.global("acc", DataType::kDouble, {E(64)});
+  pb.global("w", DataType::kDouble, {E(64), E(32)});
+  pb.global("acc", DataType::kDouble, {E(64)});
   auto fb = pb.function("f");
   auto s1 = fb.step("cheap");
   s1.foreach_("i", 0, 63);
@@ -270,7 +270,7 @@ TEST(FusedRegionPlan, UnitsPerIterScaleWithBodyCost) {
   const Program cheap = pb.build().value();
 
   ProgramBuilder pb2("m");
-  auto x2 = pb2.global("x", DataType::kDouble, {E(64)});
+  pb2.global("x", DataType::kDouble, {E(64)});
   auto w2 = pb2.global("w", DataType::kDouble, {E(64), E(32)});
   auto acc2 = pb2.global("acc", DataType::kDouble, {E(64)});
   auto fb2 = pb2.function("f");

@@ -1,6 +1,7 @@
 // Native-engine tests: (a) bit-identical differentials against the plan
 // engine on the drift-prone semantics (integer DIV/MOD truncation, NaN
-// through MIN/MAX, INTEGER-store truncation) and on the checked-in
+// through MIN/MAX, INTEGER-store truncation), against the tree-walk on
+// the loops the interp tier's vectorizer reaches, and on the checked-in
 // example kernels (SARB Table 1, FUN3D) and across inputs set between
 // two calls on one machine, plus the interp tier's copy masks at the
 // ABI boundary, (b) the kernel cache's cold/warm compile behaviour,
@@ -211,6 +212,66 @@ TEST(NativeVsPlan, WholeArrayStateBitIdentical) {
   ASSERT_EQ(y_pl.size(), y_nat.size());
   for (std::size_t i = 0; i < y_pl.size(); ++i) {
     expect_bit_equal(y_pl[i], y_nat[i], cat("y[", i, "]"));
+  }
+}
+
+/// FUN3D-shaped loops the interp tier's vectorizer now reaches: the
+/// edge loop's 50x5 divide `temps(t,eq) = dq(eq)/(t+1)`, an in-order
+/// inner accumulation over inputs spanning 1e-16..1e16 (any reassociation
+/// flips bits), and whole-grid SUM and MINVAL over the same inputs.
+Program vectorizable_program() {
+  ProgramBuilder pb("m");
+  auto dq = pb.global("dq", DataType::kDouble, {E(5)});
+  auto temps = pb.global("temps", DataType::kDouble, {E(50), E(5)});
+  auto vals = pb.global("vals", DataType::kDouble, {E(5), E(64)});
+  auto acc = pb.global("acc", DataType::kDouble, {E(5)});
+  auto total = pb.global("total", DataType::kDouble);
+  auto lowest = pb.global("lowest", DataType::kDouble);
+  auto fb = pb.function("f");
+  const E t = idx("t");
+  const E eq = idx("eq");
+  const E j = idx("j");
+  auto s1 = fb.step("divide");
+  s1.foreach_("t", 0, 49).foreach_("eq", 0, 4);
+  s1.assign(temps(t, eq), dq(eq) / (t + 1));
+  auto s2 = fb.step("accumulate");
+  s2.foreach_("eq", 0, 4).foreach_("j", 0, 63);
+  s2.assign(acc(eq), acc(eq) + vals(eq, j));
+  auto s3 = fb.step("whole_grid");
+  s3.assign(total(), call("SUM", {E(vals)}));
+  s3.assign(lowest(), call("MINVAL", {E(vals)}));
+  return pb.build().value();
+}
+
+TEST(NativeVsPlan, VectorizedLoopsStayBitExact) {
+  if (!have_cc()) GTEST_SKIP() << "no system compiler";
+  const Program p = vectorizable_program();
+  std::vector<double> vals(5 * 64);
+  for (std::size_t k = 0; k < vals.size(); ++k) {
+    const double mag = std::pow(10.0, static_cast<double>(k * 7 % 33) - 16.0);
+    vals[k] = (k % 3 == 0 ? -1.0 : 1.0) * (1.0 + 0.37 * (k % 11)) * mag;
+  }
+  const auto run = [&](Machine& m) {
+    ASSERT_TRUE(m.set_array("dq", {0.3, -1.7, 2.9, 1e-3, 7.1}).is_ok());
+    ASSERT_TRUE(m.set_array("vals", vals).is_ok());
+    ASSERT_TRUE(m.call("f").is_ok());
+  };
+  InterpOptions tree;
+  tree.engine = ExecEngine::kTreeWalk;
+  Machine reference(p, tree);
+  run(reference);
+  InterpOptions parallel = native_opts();
+  parallel.parallel = true;
+  parallel.gate_min_units = 0;  // dispatch every region, however small
+  for (const InterpOptions& o : {native_opts(), parallel}) {
+    Machine nat(p, o);
+    require_native(nat);
+    run(nat);
+    EXPECT_GT(nat.native_report().native_calls, 0u);
+    compare_all_globals(reference, nat,
+                        o.parallel ? "tree-walk vs parallel native"
+                                   : "tree-walk vs native",
+                        Equality::kBits);
   }
 }
 

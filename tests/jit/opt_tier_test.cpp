@@ -186,8 +186,19 @@ TEST(OptTier, InterpTierProvenanceIsUnchanged) {
   require_native(nat);
   const NativeReport& nr = nat.native_report();
   EXPECT_EQ(nr.model, NumericModel::kInterp);
-  EXPECT_NE(nr.compile_flags.find("-ffp-contract=off"), std::string::npos)
-      << nr.compile_flags;
+  // The flags that keep the tier bit-identical are present, and none
+  // that license reassociation, reciprocals or contraction.
+  for (const char* flag : {"-ffp-contract=off", "-fno-builtin"}) {
+    EXPECT_NE(nr.compile_flags.find(flag), std::string::npos)
+        << flag << " missing from " << nr.compile_flags;
+  }
+  for (const char* flag :
+       {"-ffast-math", "-Ofast", "-fassociative-math", "-freciprocal-math",
+        "-funsafe-math-optimizations", "-ffinite-math-only",
+        "-ffp-contract=fast"}) {
+    EXPECT_EQ(nr.compile_flags.find(flag), std::string::npos)
+        << flag << " in " << nr.compile_flags;
+  }
   EXPECT_TRUE(nr.host_key.empty()) << nr.host_key;
 }
 

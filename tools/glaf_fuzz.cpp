@@ -36,16 +36,22 @@
 //                                      on top for finite values
 //   glaf-fuzz --threads N --rtol X --atol X
 //
+// Native kernels compile into a per-run directory under $TMPDIR (else
+// /tmp), removed when the run ends.
+//
 // Duplicate generated programs (identical serialized text from different
 // seeds) are deduplicated by a stable FNV-1a digest and run once.
 //
 // Exit status: 0 all seeds agreed, 1 divergence found, 2 usage/setup error.
+
+#include <stdlib.h>  // mkdtemp (POSIX)
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <set>
 #include <string>
@@ -75,6 +81,29 @@ struct CliOptions {
   bool dump = false;
   std::uint64_t dump_seed = 0;
   OracleOptions oracle;
+};
+
+/// A per-run directory under `parent`, removed with everything in it
+/// when the object is destroyed. path() is empty when it could not be
+/// made.
+class RunDir {
+ public:
+  explicit RunDir(const std::string& parent) {
+    if (parent.empty()) return;
+    std::string tmpl = parent + "/glaf-fuzz-XXXXXX";
+    if (mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+  }
+  ~RunDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
 };
 
 void usage(const char* argv0) {
@@ -334,6 +363,14 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
+
+  const RunDir kernels(opts.oracle.work_dir);
+  if (kernels.path().empty()) {
+    std::fprintf(stderr, "glaf-fuzz: cannot make a kernel directory in the"
+                         " temp directory ($TMPDIR, else /tmp)\n");
+    return 2;
+  }
+  opts.oracle.native_cache_dir = kernels.path();
 
   if (!opts.replay_path.empty()) return replay(opts);
 
